@@ -294,10 +294,10 @@ func main() {
 		arows := experiments.ShardAsyncIngest(cfg, *shards, *clients, depthList, *asyncBatch, part)
 		fmt.Fprintf(out, "Async ingest pipeline (%s partition): %d shards, client batch %d, clients x mailbox depth\n",
 			*partition, *shards, *asyncBatch)
-		at := stats.NewTable("clients", "depth", "sync TP", "async TP", "async/sync", "sub-batch", "applied", "coalesce", "p50 ms", "p99 ms")
+		at := stats.NewTable("clients", "depth", "ticketed TP", "async TP", "async/ticketed", "sub-batch", "applied", "coalesce", "p50 ms", "p99 ms")
 		for _, r := range arows {
 			at.Row(r.Clients, r.Depth,
-				stats.Sci(r.SyncTP), stats.Sci(r.AsyncTP), stats.Ratio(r.AsyncTP, r.SyncTP),
+				stats.Sci(r.TicketedTP), stats.Sci(r.AsyncTP), stats.Ratio(r.AsyncTP, r.TicketedTP),
 				fmt.Sprintf("%.0f", r.MeanSubBatch), fmt.Sprintf("%.0f", r.MeanApplied),
 				stats.Ratio(r.MeanApplied, r.MeanSubBatch),
 				fmt.Sprintf("%.3f", r.P50ms), fmt.Sprintf("%.3f", r.P99ms))
@@ -321,7 +321,7 @@ func main() {
 			// Embedded form: print the sweep, no gate (the standalone
 			// hotkey experiment enforces the acceptance bound).
 			hrows, _, _ := runHotKeySweep(out, cfg, *shards, *clients, *asyncBatch, *hotKeysN, []float64{*hotFrac}, "")
-			obsRows = append(obsRows, hotKeyObsRows(hrows)...)
+			obsRows = append(obsRows, experiments.HotKeyObsRows(hrows)...)
 		}
 
 		srows := experiments.ShardSnapshotScan(cfg, *shards, *clients, scannerList, *asyncBatch, part)
@@ -351,7 +351,7 @@ func main() {
 			fracs = []float64{*hotFrac}
 		}
 		hrows, speedup, verified := runHotKeySweep(out, cfg, *shards, *clients, *asyncBatch, *hotKeysN, fracs, *hotJSON)
-		obsRows = append(obsRows, hotKeyObsRows(hrows)...)
+		obsRows = append(obsRows, experiments.HotKeyObsRows(hrows)...)
 		thr := 2.0
 		if cfg.TotalK >= 1_000_000 {
 			thr = 5.0
@@ -450,24 +450,6 @@ func main() {
 		}
 		fmt.Fprintf(out, "obs: wrote %s (%d percentile rows)\n", *obsJSON, len(obsRows))
 	}
-}
-
-// hotKeyObsRows distills a hot-key sweep into percentile rows for
-// -obsjson: one row per (workload, absorber) pair.
-func hotKeyObsRows(rows []experiments.HotKeyRow) []experiments.ObsRow {
-	var out []experiments.ObsRow
-	for _, r := range rows {
-		label := fmt.Sprintf("%s frac=%.2f absorb=%v", r.Workload, r.HotFrac, r.Absorb)
-		out = append(out, experiments.ObsRow{
-			Experiment: "hotkey",
-			Label:      label,
-			Metric:     "mailbox_residency_ns",
-			OpsPerSec:  r.IngestTP,
-			P50ms:      r.P50ms,
-			P99ms:      r.P99ms,
-		})
-	}
-	return out
 }
 
 // runCloneCost runs the publish/checkpoint cost sweep at n/10 and n keys

@@ -1,11 +1,11 @@
 // Setcompare: a miniature Figure 1 + Figure 2 — batch-insert and
 // range-query throughput of the CPMA against the uncompressed PMA and the
-// sharded front-end flavors on this machine, over a sweep of batch sizes.
-// The Sharded column applies each batch synchronously across its shards;
-// the AsyncSharded column enqueues fire-and-forget batches into the
-// per-shard mailboxes (with a final Flush inside the timed region), so the
-// writers coalesce adjacent batches and recover Figure 1's batch-size
-// amortization even though the client streams small batches.
+// sharded front-end on this machine, over a sweep of batch sizes. The
+// Sharded column waits for each batch (a ticketed InsertBatch through the
+// per-shard mailboxes); the AsyncSharded column enqueues fire-and-forget
+// batches into the same pipeline (with a final Flush inside the timed
+// region), so the writers coalesce adjacent batches and recover Figure 1's
+// batch-size amortization even though the client streams small batches.
 package main
 
 import (
@@ -28,7 +28,9 @@ func main() {
 	for _, bs := range []int{100, 1_000, 10_000, 100_000} {
 		pTP := measureInsert(repro.NewPMA(nil), baseN, total, bs)
 		cTP := measureInsert(repro.NewSet(nil), baseN, total, bs)
-		sTP := measureInsert(repro.NewShardedSet(shards, nil), baseN, total, bs)
+		t := repro.NewAsyncShardedSet(shards, nil)
+		sTP := measureInsert(t, baseN, total, bs)
+		t.Close()
 		a := repro.NewAsyncShardedSet(shards, nil)
 		aTP := measureInsertAsync(a, baseN, total, bs)
 		a.Close()
@@ -38,7 +40,8 @@ func main() {
 	fmt.Println("\nrange-query throughput (keys scanned/s):")
 	p := repro.NewPMA(nil)
 	c := repro.NewSet(nil)
-	s := repro.NewShardedSet(shards, nil)
+	s := repro.NewAsyncShardedSet(shards, nil)
+	defer s.Close()
 	r := repro.NewRNG(1)
 	keys := repro.UniformKeys(r, baseN, 40)
 	p.InsertBatch(keys, false)

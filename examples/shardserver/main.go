@@ -107,7 +107,6 @@ func main() {
 		}
 	} else {
 		s = repro.NewShardedSetWith(*shards, &repro.ShardedSetOptions{
-			Async:        true,
 			MailboxDepth: *depth,
 		})
 	}

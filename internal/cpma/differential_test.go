@@ -135,34 +135,51 @@ func (m *model) Range(start, end uint64) []uint64 {
 // leaf boundaries, splits, and rebuilds than default sizing would.
 var smallLeaf = &cpma.Options{LeafBytes: 256, PointThreshold: 10}
 
+// flushFirst drives a sharded set with an explicit Flush before every
+// read, so each read covers everything previously enqueued
+// (read-your-flushes applied per read).
+type flushFirst struct{ *shard.Sharded }
+
+func (f flushFirst) Has(x uint64) bool { f.Flush(); return f.Sharded.Has(x) }
+func (f flushFirst) Len() int          { f.Flush(); return f.Sharded.Len() }
+func (f flushFirst) Keys() []uint64    { f.Flush(); return f.Sharded.Keys() }
+func (f flushFirst) MapRange(start, end uint64, fn func(uint64) bool) bool {
+	f.Flush()
+	return f.Sharded.MapRange(start, end, fn)
+}
+func (f flushFirst) Snapshot() *shard.Snapshot { f.Flush(); return f.Sharded.Snapshot() }
+
 func systems() map[string]func() sut {
 	return map[string]func() sut{
 		"cpma":       func() sut { return cpma.New(nil) },
 		"cpma-small": func() sut { return cpma.New(smallLeaf) },
 		"pma":        func() sut { return pma.New(nil) },
+		// The sharded pipeline at default mailbox depth under both
+		// partition policies, driven through its blocking (ticketed
+		// enqueue + wait) paths: every step's counts must stay exact and
+		// every read must observe the preceding mutations
+		// (read-your-writes).
 		"shard-hash": func() sut {
 			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf})
 		},
 		"shard-range": func() sut {
 			return shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf})
 		},
-		// The async mailbox pipeline, driven through its synchronous
-		// (ticketed enqueue + wait) batch paths: every step's counts must
-		// stay exact and every read must observe the preceding mutations.
+		// Shallow mailboxes, so the writers see backpressure.
 		"shard-async": func() sut {
 			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-				Async: true, MailboxDepth: 4})
+				MailboxDepth: 4})
 		},
+		// The same with a flush token ahead of every read.
 		"shard-async-flushreads": func() sut {
-			return shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-				Async: true, MailboxDepth: 2, FlushReads: true})
+			return flushFirst{shard.New(3, &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
+				MailboxDepth: 2})}
 		},
 		// Hot-key absorption with an aggressive detector: the walk's
 		// repeated small keys promote quickly, so ticketed counts and reads
-		// run through the separation/overlay path and must stay exact.
+		// run through the separation/reconcile path and must stay exact.
 		"shard-async-hotkey": func() sut {
-			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-				Async: true, MailboxDepth: 4,
+			return shard.New(4, &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4,
 				HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8})
 		},
 	}
@@ -302,13 +319,12 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
-// TestDifferentialAsync drives the async mailbox pipeline the way it is
-// meant to be used — bursts of fire-and-forget enqueues — against the
+// TestDifferentialAsync drives the mailbox pipeline the way it is meant
+// to be used — bursts of fire-and-forget enqueues — against the
 // sorted-slice model. Enqueues from one goroutine apply in order per
 // shard, so after a barrier the contents must equal the model's replay of
-// the same burst sequence. One variant establishes the barrier with an
-// explicit Flush; the other relies on FlushReads, where every read
-// flushes the shards it touches on demand.
+// the same burst sequence. One variant establishes the barrier with one
+// Flush per round; the other flushes ahead of every read (flushFirst).
 func TestDifferentialAsync(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -316,19 +332,27 @@ func TestDifferentialAsync(t *testing.T) {
 		explicitFlush bool
 	}{
 		{"flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-			Async: true, MailboxDepth: 4}, true},
+			MailboxDepth: 4}, true},
 		{"flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-			Async: true, MailboxDepth: 2, FlushReads: true}, false},
-		{"hotkey-flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf,
-			Async: true, MailboxDepth: 4,
+			MailboxDepth: 2}, false},
+		{"hotkey-flush", &shard.Options{Partition: shard.HashPartition, Set: smallLeaf, MailboxDepth: 4,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, true},
-		{"hotkey-flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf,
-			Async: true, MailboxDepth: 2, FlushReads: true,
+		{"hotkey-flushreads", &shard.Options{Partition: shard.RangePartition, KeyBits: 18, Set: smallLeaf, MailboxDepth: 2,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05, HotKeyMax: 8}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := shard.New(3, tc.opt)
 			t.Cleanup(s.Close)
+			// rd serves the round's reads: the set itself after the
+			// round's Flush, or flushFirst, which flushes ahead of each.
+			var rd interface {
+				Len() int
+				Keys() []uint64
+				snapshotter
+			} = s
+			if !tc.explicitFlush {
+				rd = flushFirst{s}
+			}
 			m := &model{}
 			r := workload.NewRNG(5)
 			for round := 0; round < 40; round++ {
@@ -345,11 +369,11 @@ func TestDifferentialAsync(t *testing.T) {
 				if tc.explicitFlush {
 					s.Flush()
 				}
-				if got, want := s.Len(), len(m.keys); got != want {
+				if got, want := rd.Len(), len(m.keys); got != want {
 					t.Fatalf("round %d: Len = %d, model says %d", round, got, want)
 				}
 				if round%8 == 7 || round == 39 {
-					got := s.Keys()
+					got := rd.Keys()
 					if len(got) != len(m.keys) {
 						t.Fatalf("round %d: Keys length %d, model says %d", round, len(got), len(m.keys))
 					}
@@ -361,7 +385,7 @@ func TestDifferentialAsync(t *testing.T) {
 					if err := s.Validate(); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
-					auditSnapshot(t, fmt.Sprintf("round %d", round), s, m)
+					auditSnapshot(t, fmt.Sprintf("round %d", round), rd, m)
 				}
 			}
 		})

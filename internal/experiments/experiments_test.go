@@ -56,10 +56,10 @@ func TestFig2RangeQueries(t *testing.T) {
 }
 
 func TestFig1ShardedFlavors(t *testing.T) {
-	// The comparison tables carry the sharded front-end flavors; both must
-	// measure cleanly through the synchronous Set interface (the async one
-	// via ticketed enqueues, closed after each measurement).
-	makers := []SetMaker{ShardedMaker(2), AsyncShardedMaker(2)}
+	// The comparison tables carry the sharded front-end; it must measure
+	// cleanly through the blocking Set interface (via ticketed enqueues,
+	// closed after each measurement).
+	makers := []SetMaker{AsyncShardedMaker(2)}
 	rows := Fig1BatchInsert(makers, tinyMicro(), false)
 	for _, row := range rows {
 		for _, mk := range makers {
@@ -68,8 +68,8 @@ func TestFig1ShardedFlavors(t *testing.T) {
 			}
 		}
 	}
-	if len(ComparisonSetMakers(2)) != len(AllSetMakers())+2 {
-		t.Fatal("ComparisonSetMakers must extend AllSetMakers with both sharded flavors")
+	if len(ComparisonSetMakers(2)) != len(AllSetMakers())+1 {
+		t.Fatal("ComparisonSetMakers must extend AllSetMakers with the sharded front-end")
 	}
 }
 
@@ -81,7 +81,7 @@ func TestShardAsyncIngest(t *testing.T) {
 			t.Fatalf("got %d rows, want 3", len(rows))
 		}
 		for _, r := range rows {
-			if r.SyncTP <= 0 || r.AsyncTP <= 0 {
+			if r.TicketedTP <= 0 || r.AsyncTP <= 0 {
 				t.Fatalf("bad throughput %+v", r)
 			}
 			if r.MeanSubBatch <= 0 {
@@ -292,6 +292,22 @@ func TestShardHotKeySweep(t *testing.T) {
 		// keys; the absorber must soak up the bulk of the stream.
 		if on.Promotions == 0 || on.AbsorbedFrac < 0.5 {
 			t.Fatalf("absorber barely engaged on %s: %+v", on.Workload, on)
+		}
+	}
+}
+
+// TestObsRowsCarrySamples: every percentile row must report how many
+// samples its percentiles came from, so a row never shows real
+// percentiles next to "samples: 0".
+func TestObsRowsCarrySamples(t *testing.T) {
+	cfg := MicroConfig{TotalK: 20_000, Seed: 5, Trials: 1}
+	rows := HotKeyObsRows(ShardHotKeySweep(cfg, 2, 2, 500, 4, 2.5, []float64{0.9}))
+	if len(rows) == 0 {
+		t.Fatal("no obs rows")
+	}
+	for _, r := range rows {
+		if (r.P50ms > 0 || r.P99ms > 0) && r.Samples == 0 {
+			t.Fatalf("row %q reports percentiles from 0 samples: %+v", r.Label, r)
 		}
 	}
 }

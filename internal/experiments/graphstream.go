@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/fgraph"
@@ -181,6 +182,11 @@ func streamOne(cfg StreamConfig, shards int) (StreamRow, error) {
 			return row, fmt.Errorf("flushed view holds %d edges, full replay %d", v.NumEdges(), ref.NumEdges())
 		}
 		refKeys := ref.Set().Keys()
+		// The kernels are defined over symmetric graphs; the stream must
+		// have built one.
+		if err := checkSymmetric(refKeys); err != nil {
+			return row, fmt.Errorf("full replay: %w", err)
+		}
 		gotKeys := v.Snapshot().Keys()
 		for i := range refKeys {
 			if gotKeys[i] != refKeys[i] {
@@ -190,6 +196,18 @@ func streamOne(cfg StreamConfig, shards int) (StreamRow, error) {
 		row.Verified = true
 	}
 	return row, nil
+}
+
+// checkSymmetric reports the first packed src<<32|dst edge key in the
+// sorted keys whose reverse edge is missing.
+func checkSymmetric(keys []uint64) error {
+	for _, k := range keys {
+		r := k<<32 | k>>32
+		if _, ok := slices.BinarySearch(keys, r); !ok {
+			return fmt.Errorf("graph not symmetric: edge %d->%d has no reverse", k>>32, uint32(k))
+		}
+	}
+	return nil
 }
 
 // verifyAgainstReference rebuilds the captured edge set in a phased

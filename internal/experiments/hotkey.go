@@ -13,6 +13,7 @@ package experiments
 // exact model — the speedup only counts if the answers stay right.
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -36,8 +37,9 @@ type HotKeyRow struct {
 	Reconciles   uint64
 	FinalKeys    int
 	Verified     bool    // exact differential check against the model
-	P50ms        float64 `json:"p50_ms"` // median mailbox residency over the timed phase, ms
-	P99ms        float64 `json:"p99_ms"` // p99 mailbox residency, ms
+	P50ms        float64 `json:"p50_ms"`  // median mailbox residency over the timed phase, ms
+	P99ms        float64 `json:"p99_ms"`  // p99 mailbox residency, ms
+	Samples      uint64  `json:"samples"` // residency samples behind the percentiles
 }
 
 // hotKeyWorkload is one pre-generated workload the sweep runs twice
@@ -125,7 +127,7 @@ func ShardHotKeySweep(cfg MicroConfig, shards, clients, batchSize, hotKeys int, 
 		slices.Sort(want)
 
 		for _, absorb := range []bool{false, true} {
-			opt := &shard.Options{Partition: shard.HashPartition, Async: true}
+			opt := &shard.Options{Partition: shard.HashPartition}
 			if absorb {
 				opt.HotKeys = true
 				// A smaller-than-default detector window so promotions
@@ -194,7 +196,7 @@ func ShardHotKeySweep(cfg MicroConfig, shards, clients, batchSize, hotKeys int, 
 					tp = t
 				}
 			}
-			p50, p99, _ := residencyObs(set.PipelineLatencies().Sub(lat0).Residency)
+			p50, p99, n := residencyObs(set.PipelineLatencies().Sub(lat0).Residency)
 			ist := set.IngestStats()
 			verified := set.Len() == len(want) && slices.Equal(set.Keys(), want) &&
 				ist.AppliedKeys+ist.AbsorbedKeys == ist.EnqueuedKeys &&
@@ -219,9 +221,28 @@ func ShardHotKeySweep(cfg MicroConfig, shards, clients, batchSize, hotKeys int, 
 				Verified:     verified,
 				P50ms:        p50,
 				P99ms:        p99,
+				Samples:      n,
 			})
 			set.Close()
 		}
 	}
 	return rows
+}
+
+// HotKeyObsRows distills a hot-key sweep into percentile rows: one row per
+// (workload, absorber) pair.
+func HotKeyObsRows(rows []HotKeyRow) []ObsRow {
+	var out []ObsRow
+	for _, r := range rows {
+		out = append(out, ObsRow{
+			Experiment: "hotkey",
+			Label:      fmt.Sprintf("%s frac=%.2f absorb=%v", r.Workload, r.HotFrac, r.Absorb),
+			Metric:     "mailbox_residency_ns",
+			OpsPerSec:  r.IngestTP,
+			P50ms:      r.P50ms,
+			P99ms:      r.P99ms,
+			Samples:    r.Samples,
+		})
+	}
+	return out
 }

@@ -500,17 +500,18 @@ func ShardConcurrentClients(cfg MicroConfig, maxShards, clients, readers, batchS
 		row.MixedTP = stats.Throughput(perClient*clients, d)
 		row.ReadOps = stats.Throughput(int(readOps.Load()), d)
 		row.FinalElems = s.Len()
+		s.Close()
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// AsyncIngestRow reports the async pipeline at one (clients, mailbox
-// depth) point against the synchronous front-end at equal shard count.
+// AsyncIngestRow reports one (clients, mailbox depth) point of the
+// pipeline: ticketed against fire-and-forget ingest at equal shard count.
 type AsyncIngestRow struct {
 	Clients      int
 	Depth        int     // mailbox depth (pending sub-batches per shard)
-	SyncTP       float64 // blocking InsertBatch inserts / second
+	TicketedTP   float64 // blocking (ticketed) InsertBatch inserts / second
 	AsyncTP      float64 // InsertBatchAsync + final Flush inserts / second
 	MeanSubBatch float64 // mean keys per enqueued sub-batch
 	MeanApplied  float64 // mean keys per merged apply (coalescing win)
@@ -519,14 +520,15 @@ type AsyncIngestRow struct {
 	LatSamples   uint64  // residency samples behind the percentiles
 }
 
-// ShardAsyncIngest sweeps the asynchronous ingest pipeline over client
-// count (1, 2, 4, ..., maxClients) and mailbox depth: every client streams
-// small private batches — the adversarial regime for the synchronous
-// front-end, which forfeits the CPMA's batch-size amortization — and the
-// per-shard writers coalesce whatever accumulates. Each row compares
-// against the synchronous front-end at the same shard and client count and
-// reports the achieved coalescing (mean applied-batch size over mean
-// enqueued sub-batch size).
+// ShardAsyncIngest sweeps the ingest pipeline over client count (1, 2, 4,
+// ..., maxClients) and mailbox depth: every client streams small private
+// batches. Each row runs the same engine twice. Ticketed clients wait for
+// every batch (InsertBatch), so each writer applies a stream of small
+// batches and forfeits the CPMA's batch-size amortization. Fire-and-forget
+// clients (InsertBatchAsync plus a final Flush) let the writers coalesce
+// whatever accumulates. The row reports both throughputs and the achieved
+// coalescing (mean applied-batch size over mean enqueued sub-batch size)
+// of the fire-and-forget run.
 func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, batchSize int, part shard.Partition) []AsyncIngestRow {
 	if shards < 1 {
 		shards = 1
@@ -562,23 +564,23 @@ func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, bat
 			wg.Wait()
 		}
 
-		sync_ := shard.New(shards, shardOptions(part))
-		sync_.InsertBatch(base, false)
-		d := stats.Time(func() {
-			runClients(func(_ int, b []uint64) { sync_.InsertBatch(b, false) })
-		})
-		syncTP := stats.Throughput(total, d)
-
 		for _, depth := range depths {
 			opt := shardOptions(part)
-			opt.Async = true
 			opt.MailboxDepth = depth
+			ticketed := shard.New(shards, opt)
+			ticketed.InsertBatch(base, false)
+			d := stats.Time(func() {
+				runClients(func(_ int, b []uint64) { ticketed.InsertBatch(b, false) })
+			})
+			ticketed.Close()
+			ticketedTP := stats.Throughput(total, d)
+
 			s := shard.New(shards, opt)
 			observeSet(fmt.Sprintf("async-ingest c%d d%d", clients, depth), s)
 			s.InsertBatch(base, false)
 			before := s.IngestStats()
 			lat0 := s.PipelineLatencies()
-			d := stats.Time(func() {
+			d = stats.Time(func() {
 				runClients(func(_ int, b []uint64) { s.InsertBatchAsync(b, false) })
 				s.Flush() // the measured phase ends only once everything applied
 			})
@@ -589,7 +591,7 @@ func ShardAsyncIngest(cfg MicroConfig, shards, maxClients int, depths []int, bat
 			rows = append(rows, AsyncIngestRow{
 				Clients:      clients,
 				Depth:        depth,
-				SyncTP:       syncTP,
+				TicketedTP:   ticketedTP,
 				AsyncTP:      stats.Throughput(total, d),
 				MeanSubBatch: st.MeanEnqueuedBatch(),
 				MeanApplied:  st.MeanAppliedBatch(),
@@ -653,9 +655,7 @@ func ShardSnapshotScan(cfg MicroConfig, shards, clients int, scanners []int, bat
 	// `sc` scanners execute scan() in a loop; it returns the ingest
 	// duration, scan count, and the phase's snapshot-counter delta.
 	run := func(sc int, scan func(s *shard.Sharded)) (d time.Duration, scans int64, st shard.SnapshotStats) {
-		opt := shardOptions(part)
-		opt.Async = true
-		s := shard.New(shards, opt)
+		s := shard.New(shards, shardOptions(part))
 		s.InsertBatch(base, false)
 		before := s.SnapshotStats()
 		var done atomic.Bool

@@ -78,7 +78,6 @@ func ShardRebalanceSweep(cfg MicroConfig, shards, clients, batchSize int, s floa
 		opt := &shard.Options{
 			Partition: shard.RangePartition,
 			KeyBits:   RebalanceBits,
-			Async:     true,
 		}
 		if rebalance {
 			opt.Rebalance = true

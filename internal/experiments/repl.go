@@ -128,6 +128,16 @@ func replRound(cfg ReplConfig, s *shard.Sharded, st *persist.Store, pr *repl.Pri
 
 	followers := make([]*repl.Follower, nf)
 	links := make([]*repl.Link, nf)
+	defer func() {
+		for i, l := range links {
+			if l != nil {
+				l.Close()
+			}
+			if f := followers[i]; f != nil {
+				f.Set().Close()
+			}
+		}
+	}()
 	start := time.Now()
 	for i := range followers {
 		followers[i] = repl.NewFollower(cfg.Shards, nil)
@@ -137,13 +147,6 @@ func replRound(cfg ReplConfig, s *shard.Sharded, st *persist.Store, pr *repl.Pri
 		}
 		links[i] = l
 	}
-	defer func() {
-		for _, l := range links {
-			if l != nil {
-				l.Close()
-			}
-		}
-	}()
 	if err := replWaitCaughtUp(st, followers); err != nil {
 		return nil, err
 	}

@@ -48,6 +48,18 @@ func modelEquals(model map[uint64]bool, keys []uint64) bool {
 	return true
 }
 
+// checkSymmetric fails the test unless every edge key in the model has its
+// reverse: the kernels are defined over symmetric graphs, so the stream
+// must only ever build one.
+func checkSymmetric(t *testing.T, round int, model map[uint64]bool) {
+	t.Helper()
+	for k := range model {
+		if !model[k<<32|k>>32] {
+			t.Fatalf("round %d: model not symmetric: edge %d->%d has no reverse", round, k>>32, uint32(k))
+		}
+	}
+}
+
 // TestStreamingDifferential is the streaming-graph differential harness:
 // insert/delete edge batches flow through the async sharded pipeline with
 // no Flush between analytics rounds, and every mid-stream View must be (a)
@@ -55,7 +67,10 @@ func modelEquals(model map[uint64]bool, keys []uint64) bool {
 // monotonically across rounds, (b) byte-identical to a single-CPMA
 // fgraph.Graph built on the captured edge set for BFS, PageRank, and CC,
 // and (c) consistent with a sorted-slice adjacency model for Degree and
-// Neighbors. A final Flush must land every shard on the full history.
+// Neighbors. A final Flush must land every shard on the full history, and
+// the full-history model must be symmetric after every round. Mid-stream
+// views need not be symmetric (a cut can fall between the two directions
+// of an edge), which the kernels' schedule-independence must absorb.
 func TestStreamingDifferential(t *testing.T) {
 	const (
 		scale  = 9
@@ -72,6 +87,10 @@ func TestStreamingDifferential(t *testing.T) {
 	bounds := g.Set().Snapshot().Bounds()
 
 	stream := workload.NewEdgeStream(99, scale, 0.2)
+
+	// full is the whole stream applied in order: the graph every shard
+	// converges to once flushed.
+	full := map[uint64]bool{}
 
 	// Per-shard scripted history and the model's position in it.
 	history := make([][]shardOp, shards)
@@ -169,6 +188,9 @@ func TestStreamingDifferential(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		ins, del := stream.Next(batch)
 		insKeys := packAll(t, ins)
+		for _, k := range insKeys {
+			full[k] = true
+		}
 		if err := g.InsertEdges(ins); err != nil {
 			t.Fatalf("round %d: InsertEdges: %v", round, err)
 		}
@@ -179,6 +201,9 @@ func TestStreamingDifferential(t *testing.T) {
 		}
 		if len(del) > 0 {
 			delKeys := packAll(t, del)
+			for _, k := range delKeys {
+				delete(full, k)
+			}
 			if err := g.DeleteEdges(del); err != nil {
 				t.Fatalf("round %d: DeleteEdges: %v", round, err)
 			}
@@ -188,13 +213,18 @@ func TestStreamingDifferential(t *testing.T) {
 				}
 			}
 		}
+		checkSymmetric(t, round, full)
 		// Capture and verify mid-stream — no Flush: the async writers are
 		// draining these batches while we check the cut.
 		verifyView(round, g.View(), false)
 	}
 
 	g.Flush()
-	verifyView(rounds, g.View(), true)
+	fv := g.View()
+	verifyView(rounds, fv, true)
+	if !modelEquals(full, fv.Snapshot().Keys()) {
+		t.Fatal("flushed view differs from the full-history model")
+	}
 	if lag := g.View().LagKeys(); lag != 0 {
 		t.Fatalf("post-flush view reports lag %d", lag)
 	}

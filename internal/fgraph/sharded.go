@@ -77,7 +77,6 @@ func NewSharded(numVertices, shards int, opts *ShardedOptions) *Sharded {
 		Partition:      shard.RangePartition,
 		KeyBits:        32 + bits.Len(uint(numVertices-1)),
 		Set:            o.Set,
-		Async:          true,
 		MailboxDepth:   o.MailboxDepth,
 		CoalesceMax:    o.CoalesceMax,
 		Rebalance:      o.Rebalance,

@@ -65,25 +65,69 @@ func PageRank(g Graph, iters int) []float64 {
 	return rank
 }
 
-// ConnectedComponents labels every vertex with the minimum vertex id
-// reachable from it, via frontier-based label propagation (Ligra's CC).
+// ConnectedComponents labels every vertex with the minimum vertex id of its
+// (weakly) connected component — on the symmetric graphs the kernels are
+// defined over, the minimum vertex id reachable from it. It is one flat
+// parallel pass of concurrent union-find over the stored edges (in the
+// style of Jayanti and Tarjan's concurrent disjoint-set union) plus a
+// relabeling pass. Links always hang the larger-id root under the smaller,
+// so each component's root is its minimum id by construction: the labels
+// are a function of the edge set alone, identical on every schedule, even
+// on a graph that is not symmetric (a mid-stream view cut between the two
+// directions of an edge).
 func ConnectedComponents(g Graph) []uint32 {
 	n := g.NumVertices()
-	labels := make([]uint32, n)
-	for i := range labels {
-		labels[i] = uint32(i)
+	parent := make([]uint32, n)
+	for i := range parent {
+		parent[i] = uint32(i)
 	}
-	frontier := All(n)
-	for !frontier.Empty() {
-		frontier = EdgeMap(g, frontier,
-			func(s, d uint32) bool {
-				return writeMinUint32(&labels[d], atomic.LoadUint32(&labels[s]))
-			},
-			func(uint32) bool { return true },
-			nil,
-		)
+	parallel.For(n, 64, func(i int) {
+		u := uint32(i)
+		g.Neighbors(u, func(v uint32) bool {
+			if v != u {
+				unite(parent, u, v)
+			}
+			return true
+		})
+	})
+	parallel.For(n, 1024, func(i int) {
+		atomic.StoreUint32(&parent[i], find(parent, uint32(i)))
+	})
+	return parent
+}
+
+// find returns x's root, halving the path as it goes. Parents only ever
+// move to smaller ids (links and compression both point down the index
+// order), so concurrent finds and unites never form a cycle.
+func find(parent []uint32, x uint32) uint32 {
+	for {
+		p := atomic.LoadUint32(&parent[x])
+		if p == x {
+			return x
+		}
+		gp := atomic.LoadUint32(&parent[p])
+		if gp != p {
+			atomic.CompareAndSwapUint32(&parent[x], p, gp)
+		}
+		x = gp
 	}
-	return labels
+}
+
+// unite merges the sets of u and v by linking the larger root under the
+// smaller; a lost CAS means the root was linked concurrently, so retry.
+func unite(parent []uint32, u, v uint32) {
+	for {
+		ru, rv := find(parent, u), find(parent, v)
+		if ru == rv {
+			return
+		}
+		if ru < rv {
+			ru, rv = rv, ru
+		}
+		if atomic.CompareAndSwapUint32(&parent[ru], ru, rv) {
+			return
+		}
+	}
 }
 
 // BC computes single-source betweenness centrality contributions from src

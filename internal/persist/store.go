@@ -280,9 +280,9 @@ func (st *Store) releaseLock() {
 }
 
 // OpenSharded opens (or creates) the durable store described by opts.Dir
-// and returns a running async Sharded set recovered from it, wired to the
-// store as its journal. Closing the set closes the store; sopts.Async is
-// implied (durability rides the mailbox writer goroutines).
+// and returns a running Sharded set recovered from it, wired to the store
+// as its journal (durability rides the mailbox writer goroutines).
+// Closing the set closes the store.
 func OpenSharded(shards int, sopts *shard.Options) (*shard.Sharded, *Store, error) {
 	var so shard.Options
 	if sopts != nil {
@@ -307,7 +307,6 @@ func OpenSharded(shards int, sopts *shard.Options) (*shard.Sharded, *Store, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	so.Async = true
 	so.Journal = st
 	// The restarted router must route against the spans recovery replayed
 	// (and span-enforced) the shards with, and new rebalances must extend

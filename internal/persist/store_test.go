@@ -200,7 +200,7 @@ func TestDirectoryLock(t *testing.T) {
 }
 
 func TestNonDurableSetPersistAPI(t *testing.T) {
-	s := shard.New(2, &shard.Options{Async: true})
+	s := shard.New(2, nil)
 	defer s.Close()
 	if s.Durable() {
 		t.Fatal("plain set claims durability")

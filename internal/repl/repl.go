@@ -342,7 +342,8 @@ type Follower struct {
 
 // NewFollower builds a follower with the given geometry; opts carries the
 // primary's Partition/KeyBits/Bounds/BoundsGen/Set (other fields are
-// ignored — followers are synchronous replicas).
+// ignored — followers are replicas, see shard.NewReplica). Close the
+// follower's Set once no link drives it, to stop its writers.
 func NewFollower(shards int, opts *shard.Options) *Follower {
 	var so *cpma.Options
 	if opts != nil {
@@ -442,35 +443,41 @@ func (f *Follower) applyBoot(p int, tip uint64, set *cpma.CPMA) {
 
 // applyRecs replays records for shard p, enforcing gap-free sequence
 // continuity: already-applied records are skipped, a hole is a hard error
-// (the prefix invariant would silently break).
+// (the prefix invariant would silently break). The records up to the hole
+// go to the replica's writer in one ReplicaApply, so the applier waits
+// once per call, and the position advances only over records that call
+// applied.
 func (f *Follower) applyRecs(p int, recs []persist.Rec) error {
 	t0 := time.Now()
 	f.mu.Lock()
 	cur := f.pos[p].Seq
 	f.mu.Unlock()
-	var applied, keys uint64
+	var err error
+	var batch []shard.ReplicaRecord
+	var keys uint64
 	for _, r := range recs {
 		if r.Seq <= cur {
 			continue
 		}
 		if r.Seq != cur+1 {
-			return fmt.Errorf("repl: shard %d sequence gap: applied %d, next record %d", p, cur, r.Seq)
+			err = fmt.Errorf("repl: shard %d sequence gap: applied %d, next record %d", p, cur, r.Seq)
+			break
 		}
-		f.set.ReplicaApply(p, r.Remove, r.Keys)
+		batch = append(batch, shard.ReplicaRecord{Remove: r.Remove, Keys: r.Keys})
 		cur = r.Seq
-		applied++
 		keys += uint64(len(r.Keys))
 	}
-	f.mu.Lock()
-	f.pos[p].Seq = cur
-	f.mu.Unlock()
-	if applied > 0 {
-		f.appliedRecs.Add(applied)
+	if len(batch) > 0 {
+		f.set.ReplicaApply(p, batch)
+		f.mu.Lock()
+		f.pos[p].Seq = cur
+		f.mu.Unlock()
+		f.appliedRecs.Add(uint64(len(batch)))
 		f.appliedKeys.Add(keys)
 		f.applyDur.Since(t0)
-		f.set.Trace().Record(p, obs.EvApply, 0, 0, applied, keys)
+		f.set.Trace().Record(p, obs.EvApply, 0, 0, uint64(len(batch)), keys)
 	}
-	return nil
+	return err
 }
 
 // applyBounds installs a replicated boundary table.

@@ -534,3 +534,64 @@ func TestLinkExclusivityAndGeometry(t *testing.T) {
 		t.Fatal("rejected follower received state")
 	}
 }
+
+// TestFollowerApplyVisible: once applyRecs returns, a Snapshot of the
+// follower includes every record it applied — the replica's writers
+// publish before the applier's one wait completes — and the position
+// covers exactly those records. A sequence gap stops the replay at the
+// hole without losing the records before it.
+func TestFollowerApplyVisible(t *testing.T) {
+	const shards = 2
+	f := NewFollower(shards, nil)
+	defer f.Set().Close()
+	r := workload.NewRNG(17)
+	models := make([]map[uint64]bool, shards)
+	for p := range models {
+		models[p] = map[uint64]bool{}
+	}
+	seq := make([]uint64, shards)
+	for round := 0; round < 300; round++ {
+		p := round % shards
+		var recs []persist.Rec
+		for i := 1 + r.Intn(4); i > 0; i-- {
+			keys := workload.Uniform(r, 1+r.Intn(50), 12)
+			slices.Sort(keys)
+			keys = slices.Compact(keys)
+			remove := r.Intn(3) == 0
+			for _, k := range keys {
+				if remove {
+					delete(models[p], k)
+				} else {
+					models[p][k] = true
+				}
+			}
+			seq[p]++
+			recs = append(recs, persist.Rec{Seq: seq[p], Remove: remove, Keys: keys})
+		}
+		if err := f.applyRecs(p, recs); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		got := f.Snapshot().ShardSets()[p].Keys()
+		if len(got) != len(models[p]) {
+			t.Fatalf("round %d: snapshot shard %d holds %d keys, model %d", round, p, len(got), len(models[p]))
+		}
+		for _, k := range got {
+			if !models[p][k] {
+				t.Fatalf("round %d: snapshot shard %d holds %d, model does not", round, p, k)
+			}
+		}
+		if pos := f.Positions()[p].Seq; pos != seq[p] {
+			t.Fatalf("round %d: position %d, want %d", round, pos, seq[p])
+		}
+	}
+	gap := []persist.Rec{{Seq: seq[0] + 1, Keys: []uint64{4097}}, {Seq: seq[0] + 3, Keys: []uint64{4099}}}
+	if err := f.applyRecs(0, gap); err == nil {
+		t.Fatal("sequence gap accepted")
+	}
+	if pos := f.Positions()[0].Seq; pos != seq[0]+1 {
+		t.Fatalf("position after gap %d, want %d (the record before the hole)", pos, seq[0]+1)
+	}
+	if keys := f.Snapshot().ShardSets()[0].Keys(); !slices.Contains(keys, 4097) || slices.Contains(keys, 4099) {
+		t.Fatal("records around the gap applied wrongly")
+	}
+}

@@ -10,13 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// hotOpts builds a hot-key-enabled async Options with a tiny detector
+// hotOpts builds a hot-key-enabled Options with a tiny detector
 // window so tests promote within a few batches.
 func hotOpts(part Partition) *Options {
 	o := &Options{
 		Partition:    part,
 		Set:          smallSet,
-		Async:        true,
 		MailboxDepth: 4,
 		HotKeys:      true,
 		HotKeyEvery:  64,
@@ -29,11 +28,12 @@ func hotOpts(part Partition) *Options {
 	return o
 }
 
-// TestHotKeyOverlayReads pins every overlay read path deterministically:
-// a hand-installed promoted-key table with dirty slots must make live
-// reads behave exactly as if the pending ops had been applied, and the
-// next Flush must reconcile the slots into the CPMA verbatim. White-box —
-// it bypasses detection so the overlay arithmetic is isolated from
+// TestHotKeyOverlayReads pins what reads see of absorbed state,
+// deterministically: a hand-installed promoted-key table with dirty slots
+// (pending ops overlaid on the CPMA) must stay invisible to every read
+// until the next publish point, and the next Flush must reconcile the
+// slots into the CPMA verbatim and publish exactly the effective set.
+// White-box — it bypasses detection so reconciliation is isolated from
 // promotion timing.
 func TestHotKeyOverlayReads(t *testing.T) {
 	for _, part := range []Partition{HashPartition, RangePartition} {
@@ -51,9 +51,10 @@ func TestHotKeyOverlayReads(t *testing.T) {
 
 			// Overlay: remove 10 and 200 (the max), add 25, plus two no-op
 			// pending slots (insert of a present key, remove of an absent
-			// one) that must contribute nothing.
+			// one) that must contribute nothing. The writer is idle after
+			// the Flush, and the next mailbox op orders this install before
+			// its reads of the slots.
 			c := &s.cells[0]
-			c.mu.Lock()
 			c.hot.Store(&hotTable{
 				keys: []uint64{10, 25, 30, 40, 200},
 				slots: []*hotSlot{
@@ -64,8 +65,20 @@ func TestHotKeyOverlayReads(t *testing.T) {
 					{base: true, pend: pendRemove},
 				},
 			})
-			c.mu.Unlock()
 
+			// Reads see only published handles: nothing pending shows yet.
+			before := []uint64{10, 20, 30, 100, 200}
+			if got := s.Keys(); !slices.Equal(got, before) {
+				t.Fatalf("Keys before reconcile = %v, want %v", got, before)
+			}
+			if s.Has(25) || !s.Has(10) {
+				t.Fatal("pending absorbed state leaked into a read")
+			}
+
+			// Flush reconciles: the CPMA itself must now hold the effective
+			// set, the slots must be clean, and reads must show exactly the
+			// effective set.
+			s.Flush()
 			want := []uint64{20, 25, 30, 100}
 			if got := s.Keys(); !slices.Equal(got, want) {
 				t.Fatalf("Keys = %v, want %v", got, want)
@@ -82,29 +95,26 @@ func TestHotKeyOverlayReads(t *testing.T) {
 				}
 			}
 			if v, ok := s.Next(1); !ok || v != 20 {
-				t.Fatalf("Next(1) = %d,%v want 20 (overlay-removed 10 not skipped)", v, ok)
+				t.Fatalf("Next(1) = %d,%v want 20 (reconciled-away 10 not skipped)", v, ok)
 			}
 			if v, ok := s.Next(21); !ok || v != 25 {
-				t.Fatalf("Next(21) = %d,%v want overlay-added 25", v, ok)
+				t.Fatalf("Next(21) = %d,%v want reconciled 25", v, ok)
 			}
 			if v, ok := s.Next(101); ok {
-				t.Fatalf("Next(101) = %d, want none (200 is overlay-removed)", v)
+				t.Fatalf("Next(101) = %d, want none (200 was reconciled away)", v)
 			}
 			if v, ok := s.Max(); !ok || v != 100 {
-				t.Fatalf("Max = %d,%v want 100 (walk below the removed max)", v, ok)
+				t.Fatalf("Max = %d,%v want 100 (the old max was removed)", v, ok)
 			}
 			if sum, n := s.RangeSum(10, 30); sum != 45 || n != 2 {
 				t.Fatalf("RangeSum[10,30) = %d,%d want 45,2", sum, n)
 			}
 			visited := 0
 			if s.MapRange(1, 1<<15, func(uint64) bool { visited++; return visited < 2 }) {
-				t.Fatal("MapRange ignored early stop through the overlay")
+				t.Fatal("MapRange ignored early stop")
 			}
 
-			// Flush reconciles: the CPMA itself must now hold the effective
-			// set, the slots must be clean, and reads unchanged.
-			s.Flush()
-			c.mu.RLock()
+			// The writer is idle again after the Flush.
 			got := c.set.Keys()
 			ht := c.hot.Load()
 			for i, sl := range ht.slots {
@@ -115,7 +125,6 @@ func TestHotKeyOverlayReads(t *testing.T) {
 					t.Fatalf("slot %d base = %v after reconcile, want %v", i, sl.base, wantBase)
 				}
 			}
-			c.mu.RUnlock()
 			if !slices.Equal(got, want) {
 				t.Fatalf("CPMA after reconcile = %v, want %v", got, want)
 			}
@@ -131,17 +140,18 @@ func TestHotKeyOverlayReads(t *testing.T) {
 			}
 
 			// Second overlay phase: a pending-added key above the current
-			// max must win Max.
-			c.mu.Lock()
+			// max must win Max once reconciled, and not before.
 			c.hot.Store(&hotTable{
 				keys:  []uint64{5000},
 				slots: []*hotSlot{{base: false, pend: pendInsert}},
 			})
-			c.mu.Unlock()
-			if v, ok := s.Max(); !ok || v != 5000 {
-				t.Fatalf("Max = %d,%v want overlay-added 5000", v, ok)
+			if v, ok := s.Max(); !ok || v != 100 {
+				t.Fatalf("Max = %d,%v want 100 before reconcile", v, ok)
 			}
 			s.Flush()
+			if v, ok := s.Max(); !ok || v != 5000 {
+				t.Fatalf("Max = %d,%v want reconciled 5000", v, ok)
+			}
 			if !s.Has(5000) {
 				t.Fatal("5000 lost by reconcile")
 			}
@@ -275,8 +285,8 @@ func TestHotKeyAbsorptionDifferential(t *testing.T) {
 // TestHotKeyExactTicketedCounts: once a key is promoted, blocking point
 // ops route through the absorbed path and must still report exact
 // fresh/present answers (from the slot's effective-membership flip), and
-// reads between them must see each op immediately (read-your-writes via
-// the overlay).
+// reads between them must see each op immediately (read-your-writes: the
+// ticket completes after the reconcile-and-publish).
 func TestHotKeyExactTicketedCounts(t *testing.T) {
 	opt := hotOpts(HashPartition)
 	opt.HotKeyEvery = 256
@@ -396,7 +406,6 @@ func TestHotKeyRace(t *testing.T) {
 		Partition:    RangePartition,
 		KeyBits:      20,
 		Set:          smallSet,
-		Async:        true,
 		MailboxDepth: 4,
 		HotKeys:      true,
 		HotKeyEvery:  64,

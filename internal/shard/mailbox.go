@@ -1,12 +1,13 @@
 package shard
 
-// The asynchronous ingest pipeline: each shard owns a bounded mailbox of
-// pending operations drained by a dedicated writer goroutine. Clients
-// enqueue sorted sub-batches and return immediately (async) or wait on a
-// completion ticket (sync); the writer greedily drains whatever has
-// accumulated, merges runs of adjacent same-kind fire-and-forget batches
-// into one sorted run, and applies it as a single InsertBatch/RemoveBatch
-// under the shard lock. Coalescing is what makes the pipeline fast: the
+// The ingest pipeline: each shard owns a bounded mailbox of pending
+// operations drained by a dedicated writer goroutine, the shard's only
+// mutator. Clients enqueue sorted sub-batches and return immediately
+// (async) or wait on a completion ticket (blocking ops); the writer
+// greedily drains whatever has accumulated, merges runs of adjacent
+// same-kind fire-and-forget batches into one sorted run, applies it as a
+// single InsertBatch/RemoveBatch, and publishes a frozen handle before it
+// completes any ticket. Coalescing is what makes the pipeline fast: the
 // CPMA's rebalance cost amortizes with batch size (paper Fig. 1), so under
 // many clients sending small batches the writer applies few large merges
 // instead of many small ones.
@@ -16,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cpma"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -28,20 +30,23 @@ const (
 	opRemove
 	opFlush
 	opQuiesce
+	opReset
 )
 
 // shardOp is one mailbox entry: a sorted sub-batch destined for the
-// owning shard (opInsert/opRemove), a flush token (opFlush), or a
-// rebalancer quiesce token (opQuiesce). keys must not be read after the
-// op's apply completes: fire-and-forget enqueues hand over copies the
-// pipeline owns outright, but ticketed ops may alias the caller's slice,
-// which the caller is free to reuse the moment its ticket completes
-// (asyncSplit documents the ownership matrix). A non-nil ticket makes the
-// op synchronous: the writer applies it individually (for an exact
-// fresh/removed count) and completes the ticket; ticket-free ops are the
-// coalescable fast path. A quiesce token parks the writer — it completes
-// the ticket and then blocks until resume is closed, leaving the
-// rebalancer as the shard's sole mutator for the interim.
+// owning shard (opInsert/opRemove), a flush token (opFlush), a quiesce
+// token (opQuiesce), or a replica's state replacement (opReset, carrying
+// set). keys must not be read after the op's apply completes:
+// fire-and-forget enqueues hand over copies the pipeline owns outright,
+// but ticketed ops may alias the caller's slice, which the caller is free
+// to reuse the moment its ticket completes (asyncSplit documents the
+// ownership matrix). A non-nil ticket makes the
+// op blocking: the writer applies it individually (for an exact
+// fresh/removed count) and completes the ticket once the result is
+// published; ticket-free ops are the coalescable fast path. A quiesce
+// token parks the writer — it completes the ticket and then blocks until
+// resume is closed, leaving the quiescer (the rebalancer or the replica
+// bounds install) as the shard's sole mutator for the interim.
 //
 // With the hot-key absorber on (Options.HotKeys), hot carries the
 // promoted-key occurrences the enqueuer stripped from keys — run-collapsed
@@ -55,6 +60,7 @@ type shardOp struct {
 	hot    []hotEntry
 	tk     *ticket
 	resume chan struct{}
+	set    *cpma.CPMA
 	// enq is the enqueue timestamp feeding the mailbox-residency
 	// histogram: one clock read per enqueue call covers every sub-op it
 	// mails. Zero for flush/quiesce tokens (they measure nothing).
@@ -93,8 +99,7 @@ func (t *ticket) wait() int {
 // writers. AppliedKeys + AbsorbedKeys always converges to EnqueuedKeys
 // once the pipeline is flushed; AppliedBatches <= EnqueuedBatches, and the
 // gap is the coalescing win (mean applied-batch size / mean enqueued
-// sub-batch size). In synchronous mode both sides count the per-shard
-// applies directly.
+// sub-batch size).
 //
 // The last four counters track the hot-key absorber (Options.HotKeys; all
 // zero when it is off): AbsorbedKeys counts key occurrences diverted from
@@ -167,14 +172,22 @@ func (s *Sharded) IngestStats() IngestStats {
 }
 
 // writerScratch holds one writer's reusable buffers: the drained-op list,
-// two ping-pong merge arenas, and the run-level hot-entry accumulator, so
-// steady-state coalescing allocates nothing beyond what the CPMA itself
-// needs.
+// two ping-pong merge arenas, the run-level hot-entry accumulator, and the
+// tickets of applied ops awaiting the next publish, so steady-state
+// coalescing allocates nothing beyond what the CPMA itself needs.
 type writerScratch struct {
 	pending []shardOp
 	runs    [][]uint64
 	bufs    [2][]uint64
 	ents    []hotEntry
+	acks    []ack
+}
+
+// ack is an applied ticketed op's count, held back until the handle that
+// includes the op is published.
+type ack struct {
+	tk *ticket
+	n  int
 }
 
 // maxRetainedArena caps the merge-arena capacity (in keys) a writer keeps
@@ -189,6 +202,7 @@ func (ws *writerScratch) release() {
 	clear(ws.pending[:cap(ws.pending)]) // full capacity: drop prior drains' stale headers too
 	clear(ws.runs[:cap(ws.runs)])
 	clear(ws.ents[:cap(ws.ents)])
+	clear(ws.acks[:cap(ws.acks)])
 	for i := range ws.bufs {
 		if cap(ws.bufs[i]) > maxRetainedArena {
 			ws.bufs[i] = nil
@@ -227,27 +241,18 @@ func (s *Sharded) writer(p int) {
 			}
 		}
 		t0 := time.Now()
+		done := make(chan struct{})
+		c.drain.Store(&done)
 		s.applyPending(p, c, &ws)
-		// Reconcile-before-publish: fold absorbed hot-key state into the
-		// CPMA so the handle published next is an exact FIFO prefix of the
-		// shard's history (absorption stays invisible to snapshots and
-		// durability), then let the detector retune the promoted set at
-		// this rest point — slots are clean, so promotion and demotion are
-		// plain table swaps.
-		if s.opt.HotKeys {
-			s.reconcileHot(p, c)
-			s.retuneHot(p, c)
-		}
 		// Copy-on-publish: one frozen handle per state-changing drain, so
-		// snapshot captures never wait on (or block) the apply path. The
-		// final drain before exit publishes too, so a Snapshot taken after
-		// Close sees the fully drained state.
-		sn := s.publish(p, c)
-		// The journal learns the published handle after every drain: it is
-		// the immutable state a checkpoint can serialize, covering every
-		// record appended so far (this goroutine appended them all).
-		if j := s.opt.Journal; j != nil {
-			j.Published(p, sn.set)
+		// reads never block the apply path. The final drain before exit
+		// publishes too, so reads after Close see the fully drained state.
+		// Then let the detector retune the promoted set at this rest
+		// point — slots are clean after the publish point's reconcile, so
+		// promotion and demotion are plain table swaps.
+		sn := s.publishPoint(p, c, &ws)
+		if s.opt.HotKeys {
+			s.retuneHot(p, c)
 		}
 		// Two clock reads bound the whole drain; residency for each
 		// drained sub-batch derives from its enqueue stamp against the
@@ -282,11 +287,38 @@ func (s *Sharded) writer(p int) {
 	}
 }
 
+// publishPoint reconciles absorbed hot-key state, publishes shard p's
+// handle, hands it to the journal, and only then completes the tickets of
+// the ops applied since the last publish point — a blocking op returns only
+// once its effect is visible to every reader (read-your-writes) — and
+// releases the point lookups waiting on the drain. The journal learns
+// every published handle: it is the immutable state a checkpoint can
+// serialize, covering every record appended so far (this goroutine
+// appended them all).
+func (s *Sharded) publishPoint(p int, c *cell, ws *writerScratch) *shardSnap {
+	if s.opt.HotKeys {
+		s.reconcileHot(p, c)
+	}
+	sn := s.publish(p, c)
+	if j := s.opt.Journal; j != nil {
+		j.Published(p, sn.set)
+	}
+	for _, a := range ws.acks {
+		a.tk.complete(a.n)
+	}
+	ws.acks = ws.acks[:0]
+	if d := c.drain.Swap(nil); d != nil {
+		close(*d)
+	}
+	return sn
+}
+
 // applyPending executes the drained ops in mailbox order. Maximal runs of
 // adjacent ticket-free ops of one kind merge into a single sorted apply;
-// ticketed ops apply alone so their fresh/removed counts stay exact; flush
-// tokens just complete their tickets (everything enqueued before them has
-// been applied by the time they are reached).
+// ticketed ops apply alone so their fresh/removed counts stay exact, and
+// their tickets wait for the next publish point. Flush and quiesce tokens
+// are publish points themselves (everything enqueued before them has been
+// applied by the time they are reached).
 func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 	pending := ws.pending
 	for i := 0; i < len(pending); {
@@ -294,20 +326,15 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 		switch {
 		case op.kind == opFlush:
 			// Publish before completing the token: once a Flush returns,
-			// the published handles must include everything it covered
-			// (the snapshot read-your-flushes guarantee). Reconcile first:
-			// Flush promises applied-and-logged, so absorbed state covered
-			// by the token must fold into the CPMA (and the WAL) before
-			// the publish. On a durable set the token is also the
-			// durability barrier — hand the journal the fresh handle and
-			// force its log to disk before anyone waiting on the Flush is
+			// every read includes everything it covered (read-your-flushes).
+			// The publish point reconciles first: Flush promises
+			// applied-and-logged, so absorbed state covered by the token
+			// must fold into the CPMA (and the WAL) before the publish. On
+			// a durable set the token is also the durability barrier: force
+			// the log to disk before anyone waiting on the Flush is
 			// released.
-			if s.opt.HotKeys {
-				s.reconcileHot(p, c)
-			}
-			sn := s.publish(p, c)
+			s.publishPoint(p, c, ws)
 			if j := s.opt.Journal; j != nil {
-				j.Published(p, sn.set)
 				if err := j.Synced(p); err != nil {
 					panic(fmt.Sprintf("shard %d: journal sync: %v", p, err))
 				}
@@ -315,27 +342,26 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 			op.tk.complete(0)
 			i++
 		case op.kind == opQuiesce:
-			// Park for the rebalancer: publish the rest-point state (the
-			// pre-move handle other shards' captures may still pair with),
-			// signal arrival, and block. Reconcile first so the rebalancer
-			// extracts a CPMA with no absorbed state hiding beside it.
-			// Everything drained before this token has been applied;
-			// nothing can follow it in the mailbox because the rebalancer
-			// holds the enqueue-side lifecycle lock while it is
-			// outstanding. Until resume closes, the rebalancer is this
+			// Park for the quiescer: publish the rest-point state (the
+			// pre-move handle other readers may still pair with), signal
+			// arrival, and block. The publish point reconciles first so
+			// the rebalancer extracts a CPMA with no absorbed state hiding
+			// beside it. Everything drained before this token has been
+			// applied; nothing can follow it in the mailbox because the
+			// quiescer holds the enqueue-side lifecycle lock while it is
+			// outstanding. Until resume closes, the quiescer is this
 			// shard's sole mutator.
-			if s.opt.HotKeys {
-				s.reconcileHot(p, c)
-			}
-			sn := s.publish(p, c)
-			if j := s.opt.Journal; j != nil {
-				j.Published(p, sn.set)
-			}
+			s.publishPoint(p, c, ws)
 			op.tk.complete(0)
 			<-op.resume
 			i++
+		case op.kind == opReset:
+			c.set = op.set
+			c.epoch.Add(1)
+			ws.acks = append(ws.acks, ack{tk: op.tk})
+			i++
 		case op.tk != nil:
-			op.tk.complete(s.applyOne(p, c, op.kind, op.keys, op.hot))
+			ws.acks = append(ws.acks, ack{op.tk, s.applyOne(p, c, op.kind, op.keys, op.hot)})
 			i++
 		default:
 			j := i + 1
@@ -368,13 +394,13 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 	}
 }
 
-// applyOne applies one sorted batch to shard p under its lock, records it
-// in the ingest counters, and advances the shard's snapshot epoch when the
-// apply changed state (all-duplicate or all-absent batches leave the state
-// — and therefore the published snapshot — untouched). On a durable set
-// the batch is appended to the shard's write-ahead log first, outside the
-// shard lock: the log must never trail the in-memory state it redoes, and
-// a log the set cannot append to is fatal (see Journal).
+// applyOne applies one sorted batch to shard p, records it in the ingest
+// counters, and advances the shard's epoch when the apply changed state
+// (all-duplicate or all-absent batches leave the state — and therefore the
+// published handle — untouched). On a durable set the batch is appended to
+// the shard's write-ahead log first: the log must never trail the
+// in-memory state it redoes, and a log the set cannot append to is fatal
+// (see Journal).
 //
 // With the absorber on, hot carries the op's pre-separated promoted-key
 // entries, and the batch is re-checked against the current table first
@@ -383,8 +409,8 @@ func (s *Sharded) applyPending(p int, c *cell, ws *writerScratch) {
 // reconciliation). Entries whose key was demoted while the op was in
 // flight fall back into the applied batch at this same FIFO position, so
 // the write-ahead contract covers them; surviving entries fold into slot
-// state inside the same critical section as the cold apply — absorbed keys
-// are deliberately NOT journaled here, their WAL records are written by
+// state right after the cold apply — absorbed keys are deliberately NOT
+// journaled here, their WAL records are written by
 // reconcileHot when the slot state folds into the CPMA. The returned count
 // stays exact for ticketed ops: a slot whose effective membership flips
 // counts exactly like a fresh insert or a present remove.
@@ -427,7 +453,6 @@ func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64, hot []hot
 	}
 	var n int
 	var absorbed uint64
-	c.mu.Lock()
 	if len(keys) > 0 {
 		if kind == opInsert {
 			n = c.set.InsertBatch(keys, true)
@@ -452,7 +477,6 @@ func (s *Sharded) applyOne(p int, c *cell, kind opKind, keys []uint64, hot []hot
 		sl.hits += e.n
 		absorbed += e.n
 	}
-	c.mu.Unlock()
 	if s.opt.HotKeys {
 		if absorbed > 0 {
 			c.absorbed.Add(absorbed)

@@ -124,18 +124,6 @@ func (rt *router) shardOf(key uint64) int {
 	return int(hi)
 }
 
-// spanOf returns shard p's half-open span [lo, hi) under RangePartition;
-// last reports that the span is unbounded above (hi is meaningless then).
-func (rt *router) spanOf(p int) (lo, hi uint64, last bool) {
-	if p > 0 {
-		lo = rt.bounds[p-1]
-	}
-	if p == rt.shards-1 {
-		return lo, 0, true
-	}
-	return lo, rt.bounds[p], false
-}
-
 // shardSpan returns the inclusive shard interval overlapping [start, end):
 // the exact span under RangePartition, every shard under HashPartition. A
 // degenerate range (end <= start, including the end == 0 wraparound that

@@ -117,8 +117,8 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 // still verifies that Close drains every enqueued key.
 func TestAsyncIngestRace(t *testing.T) {
 	for _, opt := range []*Options{
-		{Async: true, MailboxDepth: 4, Partition: HashPartition},
-		{Async: true, MailboxDepth: 2, Partition: RangePartition, KeyBits: 18, FlushReads: true},
+		{MailboxDepth: 4, Partition: HashPartition},
+		{MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
 	} {
 		s := New(4, opt)
 		const writers = 4
@@ -233,7 +233,7 @@ func TestConcurrentInsertRemoveConverge(t *testing.T) {
 func TestRebalanceRace(t *testing.T) {
 	const writers, perWriter, bits = 4, 20000, 28
 	s := New(5, &Options{
-		Partition: RangePartition, KeyBits: bits, Async: true, MailboxDepth: 4,
+		Partition: RangePartition, KeyBits: bits, MailboxDepth: 4,
 		Rebalance: true, RebalanceEvery: time.Millisecond, MaxSkew: 1.3,
 	})
 	var wwg sync.WaitGroup
@@ -330,8 +330,8 @@ func TestRebalanceRace(t *testing.T) {
 // capture after Close must equal the fully drained state.
 func TestSnapshotRace(t *testing.T) {
 	for _, opt := range []*Options{
-		{Async: true, MailboxDepth: 4, Partition: HashPartition},
-		{Async: true, MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
+		{MailboxDepth: 4, Partition: HashPartition},
+		{MailboxDepth: 2, Partition: RangePartition, KeyBits: 18},
 	} {
 		s := New(4, opt)
 		const writers = 3
@@ -404,45 +404,5 @@ func TestSnapshotRace(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestSnapshotSyncRace: sync-mode captures (which clone under all read
-// locks) racing batch writers and each other.
-func TestSnapshotSyncRace(t *testing.T) {
-	s := New(4, &Options{Partition: HashPartition})
-	s.InsertBatch(workload.Uniform(workload.NewRNG(8), 20000, 20), false)
-	var wwg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			r := workload.NewRNG(uint64(700 + w))
-			for i := 0; i < 20; i++ {
-				s.InsertBatch(workload.Uniform(r, 2000, 20), false)
-				s.RemoveBatch(workload.Uniform(r, 1000, 20), false)
-			}
-		}(w)
-	}
-	var done atomic.Bool
-	var rwg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			for !done.Load() {
-				sn := s.Snapshot()
-				if got := len(sn.Keys()); got != sn.Len() {
-					t.Errorf("snapshot inconsistent: %d keys, Len %d", got, sn.Len())
-					return
-				}
-			}
-		}()
-	}
-	wwg.Wait()
-	done.Store(true)
-	rwg.Wait()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -21,7 +21,7 @@ func skewedKeys(r *workload.RNG, n, bits int) []uint64 {
 // nothing about the set's contents.
 func TestRebalanceOnceBalancesSkew(t *testing.T) {
 	const P, bits = 6, 24
-	s := New(P, &Options{Partition: RangePartition, KeyBits: bits, Async: true, Set: smallSet})
+	s := New(P, &Options{Partition: RangePartition, KeyBits: bits, Set: smallSet})
 	t.Cleanup(s.Close)
 	r := workload.NewRNG(5)
 	keys := skewedKeys(r, 40000, bits)
@@ -76,7 +76,7 @@ func TestRebalanceOnceBalancesSkew(t *testing.T) {
 // snapshots — must equal the sorted-slice model exactly.
 func TestRebalanceDifferential(t *testing.T) {
 	const P, bits, rounds = 5, 20, 40
-	s := New(P, &Options{Partition: RangePartition, KeyBits: bits, Async: true, MailboxDepth: 4, Set: smallSet})
+	s := New(P, &Options{Partition: RangePartition, KeyBits: bits, MailboxDepth: 4, Set: smallSet})
 	t.Cleanup(s.Close)
 	r := workload.NewRNG(11)
 	model := map[uint64]bool{}
@@ -160,7 +160,7 @@ func TestRebalanceDifferential(t *testing.T) {
 func TestBackgroundRebalancer(t *testing.T) {
 	const P, bits = 4, 22
 	s := New(P, &Options{
-		Partition: RangePartition, KeyBits: bits, Async: true,
+		Partition: RangePartition, KeyBits: bits,
 		Rebalance: true, RebalanceEvery: time.Millisecond, MaxSkew: 1.5,
 		Set: smallSet,
 	})
@@ -192,25 +192,15 @@ func TestBackgroundRebalancer(t *testing.T) {
 // TestRebalanceRequiresAsyncRange: the misuse panics promised by the API.
 func TestRebalanceRequiresAsyncRange(t *testing.T) {
 	if !panics(func() { New(4, &Options{Rebalance: true}) }) {
-		t.Fatal("Rebalance without Async+RangePartition must panic")
-	}
-	if !panics(func() { New(4, &Options{Rebalance: true, Partition: RangePartition}) }) {
-		t.Fatal("Rebalance without Async must panic")
-	}
-	if !panics(func() { New(4, &Options{Rebalance: true, Async: true}) }) {
 		t.Fatal("Rebalance under HashPartition must panic")
 	}
-	s := New(2, &Options{Partition: HashPartition, Async: true})
+	s := New(2, &Options{Partition: HashPartition})
 	defer s.Close()
 	if !panics(func() { s.RebalanceOnce() }) {
 		t.Fatal("RebalanceOnce on a hash partition must panic")
 	}
-	sync := New(2, &Options{Partition: RangePartition})
-	if !panics(func() { sync.RebalanceOnce() }) {
-		t.Fatal("RebalanceOnce on a synchronous set must panic")
-	}
 	// Closed set: a sweep is a quiet no-op (the monitor may race Close).
-	c := New(2, &Options{Partition: RangePartition, Async: true})
+	c := New(2, &Options{Partition: RangePartition})
 	c.Close()
 	if c.RebalanceOnce() != 0 {
 		t.Fatal("RebalanceOnce on a closed set must be a no-op")

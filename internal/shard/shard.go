@@ -7,104 +7,87 @@
 // free. A Sharded set turns P single-writer CPMAs into one concurrently
 // usable set — the way PaC-trees wrap batch-parallel structures behind a
 // concurrent collection interface. Keys are partitioned across P shards
-// (by hash or by key range), each shard owning one CPMA guarded by its own
-// RWMutex:
+// (by hash or by key range), and every shard runs the same design: one
+// writer mutates it, and every read is served from that writer's
+// published handles.
 //
-//   - Point mutations (Insert, Remove) lock only the owning shard.
-//   - Batch mutations (InsertBatch, RemoveBatch) scatter the batch into
-//     per-shard sub-batches and apply them with one writer goroutine per
-//     shard, so a single large batch still uses many cores and independent
-//     clients mutating different shards proceed in parallel.
-//   - Reads (Has, Next, MapRange, RangeSum, Sum, Len, Keys) take shard read
-//     locks, so any number of readers proceed concurrently with each other
-//     and with writers on other shards.
+// # One writer per shard
 //
-// # Asynchronous ingest (Options.Async)
-//
-// In the default synchronous mode every batch call blocks until its
-// sub-batches land, so under many concurrent clients each shard applies a
-// stream of small batches and forfeits exactly the amortization that makes
-// CPMA batches fast (larger merged batches insert strictly faster per
-// element — paper Fig. 1). Async mode decouples accepting updates from
-// applying them: each shard owns a bounded mailbox (Options.MailboxDepth)
-// drained by a dedicated writer goroutine that coalesces adjacent pending
-// sub-batches into one sorted merge and applies it as a single batch under
-// the shard lock.
+// Each shard owns a bounded mailbox (Options.MailboxDepth) drained by a
+// dedicated writer goroutine, the only goroutine that ever mutates the
+// shard's CPMA. The writer coalesces adjacent pending sub-batches into one
+// sorted merge and applies it as a single batch, so under many clients
+// sending small batches it applies few large merges (larger merged batches
+// insert strictly faster per element — paper Fig. 1).
 //
 //   - InsertBatchAsync/RemoveBatchAsync scatter, enqueue, and return
 //     without waiting for the apply. A full mailbox exerts backpressure:
 //     the enqueue blocks until the writer catches up.
-//   - InsertBatch/RemoveBatch on an async set enqueue with a completion
+//   - Insert, Remove, InsertBatch and RemoveBatch enqueue with a completion
 //     ticket and wait, so they remain exact (their fresh/removed counts are
-//     computed by applying them individually) and everything they enqueued
-//     is applied when they return.
+//     computed by applying them individually).
 //   - Flush blocks until every operation enqueued before the call is
-//     applied; it is the read barrier for async ingest. Operations enqueued
-//     concurrently with a Flush may or may not be covered by it.
+//     applied. Operations enqueued concurrently with a Flush may or may not
+//     be covered by it.
 //   - Close drains all mailboxes (a final implicit Flush), stops the
 //     writers, and makes further mutations panic; reads remain valid on the
 //     closed set. Close must not race with in-flight mutations, but is safe
-//     against concurrent Flush and reads, and is idempotent.
+//     against concurrent Flush and reads, and is idempotent. Every set
+//     should be Closed when done, to stop its writers.
 //
-// # Consistency contract
+// Each shard is individually linearizable: its mailbox is FIFO and its
+// writer is its sole mutator, so the CPMA's single-writer contract holds
+// by construction, all operations enqueued by one goroutine apply in their
+// enqueue order on every shard they touch, and operations from different
+// goroutines interleave in mailbox arrival order.
 //
-// Each shard is individually linearizable — its mailbox is FIFO and its
-// mutex serializes access, so within a shard the CPMA's single-writer
-// contract is preserved by construction, and all operations enqueued by
-// one goroutine apply in their enqueue order on every shard they touch.
-// Operations from different goroutines interleave in mailbox arrival
-// order, exactly as lock-acquisition order interleaves them in synchronous
-// mode.
+// # Reads from published handles
 //
-// Reads on an async set read through by default: they observe only what
-// the writers have applied, so a client's own fire-and-forget batches may
-// be invisible until a Flush. Setting Options.FlushReads makes every read
-// flush the shards it touches first (read-your-enqueues at per-shard
-// cost); Len, Sum, Keys and friends then flush every shard.
+// After every drain that changed state, the writer publishes an immutable
+// copy-on-write cpma.Clone of its CPMA through an atomic pointer
+// (snapshot.go). Every read, live or snapshot, is served from these
+// handles, and no read takes a lock; the writer never waits for a reader.
 //
-// Cross-shard reads (Len, Sum, Keys, a MapRange spanning several shards,
-// Next, Max, ...) observe one atomic cut: they hold every overlapping
-// shard's read lock simultaneously for the capture, so a concurrent writer
-// can never land between the read of shard p and shard q and the aggregate
-// view is never torn. In async read-through mode the cut covers applied
-// state; with Options.FlushReads it covers everything previously enqueued.
-// Iteration callbacks (Map, MapRange) under RangePartition run while the
-// span's read locks are held and must not call back into the same Sharded;
-// under HashPartition the range is gathered first and f runs lock-free.
+//   - Has is one router load, one handle load, and a CPMA lookup. A lookup
+//     that lands while its shard's writer is mid-drain first waits for
+//     that drain to publish: writers get the cores for their batch-parallel
+//     applies, and the lookup reads the fresher handle.
+//   - Multi-shard reads (Len, Sum, RangeSum, Next, Max, Map, MapRange, Keys,
+//     SizeBytes) capture the overlapping shards' handles once and run on
+//     that cut. Map and MapRange callbacks run on frozen handles, so they
+//     may call back into the set.
+//   - Snapshot captures every shard's handle into a frozen view that
+//     outlives Close.
 //
-// # Snapshots
+// What a read observes follows from when handles are published:
 //
-// Snapshot() captures a frozen, immutable view — one epoch cut across all
-// shards — that serves the full read API off frozen CPMAs with no locks,
-// so long analytics scans run concurrently with ingest instead of blocking
-// writers (and instead of being blocked by them). In async mode each shard
-// writer publishes an immutable cpma.Clone handle after every
-// state-changing drain (copy-on-publish, amortized over coalesced
-// applies), and Snapshot grabs one published handle per shard without any
-// barrier; in sync mode the capture holds all shard read locks and clones
-// only shards that changed since their last publication. Snapshots observe
-// published state and guarantee read-your-flushes — a Snapshot captured
-// after a Flush returns includes everything that Flush covered — but not
-// read-your-writes: in async mode a blocking mutation that has returned
-// may be missing from a Snapshot captured before its drain ends (direct
-// reads like Has and Len do see it; only the snapshot publication lags).
-// A Snapshot outlives Close. See Snapshot and SnapshotStats in
-// snapshot.go.
+//   - Read-your-writes for blocking ops: a ticket completes only after the
+//     drain that applied its op has published, so a returned Insert,
+//     Remove, InsertBatch, RemoveBatch or ReplicaApply is visible to the
+//     next Has or Snapshot.
+//   - Read-your-flushes for async ops: a flush token publishes before it
+//     completes, so after Flush returns every read covers everything the
+//     Flush covered. A fire-and-forget batch may be invisible until then.
+//   - Snapshots are per-shard prefix cuts: each handle reflects a prefix of
+//     its shard's applied operation sequence, so a cut across shards is a
+//     frontier (different shards may sit at different prefixes of a
+//     multi-shard batch stream). Within one cut every read is mutually
+//     consistent: Len equals the number of keys Map visits, Sum matches
+//     Keys.
 //
 // # Durability (Options.Journal)
 //
 // A durable set plugs a Journal (implemented by repro/internal/persist)
-// into the async pipeline. The mailbox writers are the hook points: each
-// writer appends its batch to the journal before applying it
-// (write-ahead), hands the journal the frozen handle it publishes after
-// every drain (the checkpointable state), and turns Flush tokens into
-// fsync barriers. Checkpoint() is Flush plus a slab checkpoint of every
-// shard and WAL truncation; PersistStats() reports the journal counters.
-// Because all mutations on an async set flow through the writers — point
-// ops and ticketed batches included — the journal observes the complete
-// per-shard operation sequence with no extra synchronization on the
-// ingest path. See the persist package for the durability contract and
-// the on-disk formats.
+// into the pipeline. The mailbox writers are the hook points: each writer
+// appends its batch to the journal before applying it (write-ahead), hands
+// the journal the frozen handle it publishes after every drain (the
+// checkpointable state), and turns Flush tokens into fsync barriers.
+// Checkpoint() is Flush plus a slab checkpoint of every shard and WAL
+// truncation; PersistStats() reports the journal counters. Because all
+// mutations flow through the writers — point ops and ticketed batches
+// included — the journal observes the complete per-shard operation
+// sequence with no extra synchronization on the ingest path. See the
+// persist package for the durability contract and the on-disk formats.
 //
 // # Rebalancing (Options.Rebalance)
 //
@@ -118,20 +101,18 @@
 // parks each writer at a rest point between applies), extracts the
 // pair's keys from their frozen-ordered CPMAs, rebuilds two CPMAs split
 // at the pair's target share, journals the move on a durable set
-// (see the persist package's barrier protocol), installs the new sets
-// and publishes fresh snapshot handles under the pair's write locks, and
-// swaps in a new router generation. Every other shard keeps ingesting
-// throughout; enqueues stall only for the move's duration (the
-// rebalancer holds the enqueue-side lifecycle lock so no batch can be
-// split against one boundary table and mailed against another).
+// (see the persist package's barrier protocol), swaps in a new router
+// generation, and publishes fresh handles stamped with it. Every other
+// shard keeps ingesting throughout; enqueues stall only for the move's
+// duration (the rebalancer holds the enqueue-side lifecycle lock so no
+// batch can be split against one boundary table and mailed against
+// another).
 //
-// The consistency contract survives rebalancing unchanged: multi-shard
-// live reads validate that the router they routed with is still current
-// after acquiring their shard locks (retrying on the rare conflict), and
-// snapshot captures validate every published handle against the router's
-// per-shard span generation, so a capture can never pair a handle from
-// before a boundary move with a routing table from after it (or vice
-// versa). Rebalancing requires the async pipeline and RangePartition.
+// The read contract survives rebalancing unchanged: every read validates
+// each handle it grabs against the per-shard span generation of the
+// router it routed with, retrying on the rare conflict, so a read can
+// never pair a handle from before a boundary move with a routing table
+// from after it (or vice versa). Rebalancing requires RangePartition.
 //
 // # Hot-key absorption (Options.HotKeys)
 //
@@ -144,23 +125,16 @@
 // bit over the key's CPMA presence) at the record's FIFO position — the
 // Doppel split-phase protocol applied to the mailbox pipeline. The
 // absorbed state reconciles into the CPMA immediately before every
-// snapshot publication (drain end, Flush token, rebalance quiesce) as
-// ordinary write-ahead-logged batches.
+// publication (drain end, Flush token, rebalance quiesce) as ordinary
+// write-ahead-logged batches.
 //
-// The consistency contract is unchanged by absorption:
-//
-//   - Live reads (Has, Len, Sum, RangeSum, Next, Max, Map, MapRange, Keys)
-//     overlay the absorbed state under the same shard read locks their cut
-//     already holds, so they remain exact — an applied-but-unreconciled
-//     hot-key op is visible exactly as if it had been applied to the CPMA.
-//   - Published snapshot handles are reconciled first, so every Snapshot
-//     remains an exact per-shard FIFO prefix of the operation history and
-//     never needs the overlay.
-//   - Flush forces reconciliation before its token completes: after a
-//     Flush, absorbed state is folded, logged, and (on a durable set)
-//     fsynced — durability always covers exactly the reconciled state.
-//   - Ticketed mutations stay exact: an absorbed Insert/Remove reports
-//     fresh/present from the slot's effective-membership flip.
+// The read contract is unchanged by absorption: published handles are
+// reconciled first, so every read sees an exact per-shard FIFO prefix of
+// the operation history and absorbed state is never visible on its own.
+// Flush forces reconciliation before its token completes, so durability
+// always covers exactly the reconciled state. Ticketed mutations stay
+// exact: an absorbed Insert/Remove reports fresh/present from the slot's
+// effective-membership flip.
 //
 // Detection and demotion are per shard: a space-saving sketch over applied
 // traffic promotes keys whose share of a HotKeyEvery-key window exceeds
@@ -173,14 +147,12 @@
 package shard
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cpma"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Partition selects how keys are routed to shards.
@@ -197,7 +169,7 @@ const (
 	RangePartition
 )
 
-// Default async tuning: a mailbox holds up to DefaultMailboxDepth pending
+// Default pipeline tuning: a mailbox holds up to DefaultMailboxDepth pending
 // sub-batches, and one drain coalesces at most DefaultCoalesceMax keys
 // into a single apply (a single larger batch is still applied whole).
 const (
@@ -236,27 +208,18 @@ type Options struct {
 	// Set configures each shard's CPMA; nil selects the paper's defaults.
 	Set *cpma.Options
 
-	// Async enables the mailbox ingest pipeline (see the package
-	// documentation): per-shard writer goroutines drain bounded mailboxes
-	// and coalesce pending sub-batches into large merged applies. Async
-	// sets should be Closed when done to stop their writers.
-	Async bool
 	// MailboxDepth bounds each shard's mailbox (pending sub-batches); a
 	// full mailbox blocks enqueues. 0 means DefaultMailboxDepth.
 	MailboxDepth int
 	// CoalesceMax caps the keys one drain merges into a single apply.
 	// 0 means DefaultCoalesceMax.
 	CoalesceMax int
-	// FlushReads makes every read flush the shards it touches before
-	// reading, so reads observe all previously enqueued operations. The
-	// default is read-through: reads see only applied state.
-	FlushReads bool
 
 	// HotKeys enables the per-shard hot-key absorber (see the package
 	// documentation and hotkey.go): detected-hot keys are stripped from
 	// enqueued sub-batches and absorbed into per-shard slot state, then
-	// reconciled into the CPMA before every snapshot publication. Requires
-	// Async; New panics otherwise. Works with either partition policy and
+	// reconciled into the CPMA before every publication. Works with either
+	// partition policy and
 	// composes with Rebalance (a boundary move demotes the pair's keys)
 	// and a Journal (absorbed keys are WAL-logged at reconcile time).
 	HotKeys bool
@@ -275,8 +238,8 @@ type Options struct {
 	// Rebalance starts the live span rebalancer (see the package
 	// documentation): a background monitor samples per-shard key counts and
 	// moves span boundaries between adjacent shards whenever the max/mean
-	// ratio exceeds MaxSkew. Requires Async and RangePartition; New panics
-	// otherwise. RebalanceOnce can always be called manually on an async
+	// ratio exceeds MaxSkew. Requires RangePartition; New panics
+	// otherwise. RebalanceOnce can always be called manually on a
 	// range-partitioned set, monitor or not.
 	Rebalance bool
 	// MaxSkew is the rebalance trigger: the monitor moves boundaries while
@@ -316,12 +279,12 @@ type Options struct {
 	// (0 = the persist layer's default, negative = compact on every
 	// checkpoint, i.e. disable deltas).
 	CompactEveryDeltas int
-	// Journal is the durability hook the persist layer implements. Requires
-	// Async: the journal is driven by the mailbox writer goroutines.
+	// Journal is the durability hook the persist layer implements; the
+	// mailbox writer goroutines drive it.
 	Journal Journal
 }
 
-// Journal is the hook a persistence layer plugs into an async Sharded set.
+// Journal is the hook a persistence layer plugs into a Sharded set.
 // All per-shard calls (Append, Published, Synced) are made from the owning
 // shard's writer goroutine only, strictly ordered: every batch is Appended
 // before it is applied to the shard's CPMA (write-ahead), Published hands
@@ -416,11 +379,12 @@ func (st PersistStats) Sub(prev PersistStats) PersistStats {
 	}
 }
 
-// cell is one shard: a CPMA plus its lock, mailbox, and ingest counters,
-// padded so that neighboring shards' hot state does not share a cache line
-// under write contention.
+// cell is one shard: a CPMA plus its mailbox, published handle, and ingest
+// counters, padded so that neighboring shards' hot state does not share a
+// cache line under write contention. set is touched only by the shard's
+// writer goroutine (or by the rebalancer while that writer is parked);
+// everyone else reads snap.
 type cell struct {
-	mu   sync.RWMutex
 	set  *cpma.CPMA
 	mbox chan shardOp
 
@@ -429,20 +393,22 @@ type cell struct {
 	appBatches atomic.Uint64
 	appKeys    atomic.Uint64
 
-	// Snapshot publication state (snapshot.go): epoch counts this shard's
-	// state-changing applies (bumped under the shard's write lock), snap is
-	// the last published frozen handle at its epoch, and pubMu makes
-	// publication single-flight — racing sync-mode captures must not run
-	// cpma.Clone concurrently on one cell (the COW ownership handoff is
-	// single-caller by contract).
+	// Publication state (snapshot.go): epoch counts this shard's
+	// state-changing applies and snap is the last published frozen handle
+	// at its epoch.
 	epoch atomic.Uint64
 	snap  atomic.Pointer[shardSnap]
-	pubMu sync.Mutex
+	// drain is closed at the first publish point of the writer's current
+	// drain (nil between drains). Point lookups wait on it, so they read
+	// what the in-flight drain publishes instead of racing it for cores:
+	// a batch apply uses every core, and free-running lookups would starve
+	// it on a small machine. The writer never waits for a reader.
+	drain atomic.Pointer[chan struct{}]
 
 	// Hot-key absorber state (hotkey.go): hot is the promoted-key table
-	// (nil when nothing is promoted; the table is immutable, its slots
-	// mutate under mu), det is the traffic detector owned by the writer
-	// goroutine, and the counters feed IngestStats.
+	// (nil when nothing is promoted; the table's keys are immutable, its
+	// slots belong to the writer goroutine), det is the traffic detector
+	// owned by the writer goroutine, and the counters feed IngestStats.
 	hot        atomic.Pointer[hotTable]
 	det        hotDetector
 	absorbed   atomic.Uint64
@@ -453,37 +419,27 @@ type cell struct {
 	_ [40]byte
 }
 
-// countOne records a synchronous point op in the ingest counters (a
-// sub-batch of one, applied directly), keeping IngestStats comparable
-// between the sync and async modes.
-func (c *cell) countOne() {
-	c.enqBatches.Add(1)
-	c.enqKeys.Add(1)
-	c.appBatches.Add(1)
-	c.appKeys.Add(1)
-}
-
 // Sharded is a concurrent set of nonzero uint64 keys built from P
 // single-writer CPMA shards. The zero value is not usable; call New.
 type Sharded struct {
 	cells []cell
 	opt   Options
 	// rt is the current routing table. Each published *router is immutable;
-	// a rebalance installs a replacement while holding life.Lock and the
-	// affected shards' write locks, so enqueues (which split and mail under
-	// life.RLock) and locked reads (which re-validate the pointer after
-	// acquiring their shard locks) always route against one coherent table.
+	// a rebalance installs a replacement while holding life.Lock, so
+	// enqueues (which split and mail under life.RLock) always route against
+	// one coherent table, and reads validate every handle they grab against
+	// the span generations of the router they routed with.
 	rt atomic.Pointer[router]
 
-	// Async lifecycle: enqueues hold life.RLock while sending; Close and
-	// the rebalancer take life.Lock, so no send can race a mailbox close or
-	// a router swap.
+	// Lifecycle: enqueues hold life.RLock while sending; Close, the
+	// rebalancer and the replica bounds install take life.Lock, so no send
+	// can race a mailbox close or a router swap.
 	life    sync.RWMutex
 	closed  bool
 	writers sync.WaitGroup
 
 	// replica marks a read-only replication follower (replica.go): client
-	// mutations panic, state changes only through the Replica* appliers.
+	// mutations panic, state changes only through the Replica* ops.
 	replica bool
 
 	// Rebalancer state: rebalMu serializes moves (monitor vs manual
@@ -538,9 +494,6 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 	if opts != nil {
 		o = *opts
 	}
-	if o.Journal != nil && !o.Async {
-		panic("shard: a Journal requires the async pipeline (Options.Async)")
-	}
 	if o.Dir != "" && o.Journal == nil {
 		panic("shard: Options.Dir set without a Journal; build durable sets with repro.OpenDurableShardedSet")
 	}
@@ -556,13 +509,10 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 	if o.CoalesceMax <= 0 {
 		o.CoalesceMax = DefaultCoalesceMax
 	}
-	if o.Rebalance && (!o.Async || o.Partition != RangePartition) {
-		panic("shard: Options.Rebalance requires the async pipeline and RangePartition")
+	if o.Rebalance && o.Partition != RangePartition {
+		panic("shard: Options.Rebalance requires RangePartition")
 	}
 	if o.HotKeys {
-		if !o.Async {
-			panic("shard: Options.HotKeys requires the async pipeline (Options.Async)")
-		}
 		if o.HotKeyFrac <= 0 {
 			o.HotKeyFrac = DefaultHotKeyFrac
 		}
@@ -628,14 +578,12 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 			s.cells[i].det.sk.cap = 4 * o.HotKeyMax
 		}
 	}
-	if o.Async {
-		for i := range s.cells {
-			s.cells[i].mbox = make(chan shardOp, o.MailboxDepth)
-		}
-		s.writers.Add(shards)
-		for i := range s.cells {
-			go s.writer(i)
-		}
+	for i := range s.cells {
+		s.cells[i].mbox = make(chan shardOp, o.MailboxDepth)
+	}
+	s.writers.Add(shards)
+	for i := range s.cells {
+		go s.writer(i)
 	}
 	if o.Rebalance && shards > 1 {
 		s.rebalStop = make(chan struct{})
@@ -647,9 +595,6 @@ func newSharded(shards int, seed []*cpma.CPMA, opts *Options) *Sharded {
 
 // Shards returns the number of shards.
 func (s *Sharded) Shards() int { return len(s.cells) }
-
-// Async reports whether this set runs the mailbox ingest pipeline.
-func (s *Sharded) Async() bool { return s.opt.Async }
 
 // Partition returns the routing policy keys are partitioned by.
 func (s *Sharded) Partition() Partition { return s.opt.Partition }
@@ -681,49 +626,19 @@ func checkKeys(keys []uint64, sorted bool) {
 	}
 }
 
-// Insert adds x, returning false if already present. Locks one shard; on
-// an async set it routes through the owning shard's mailbox (behind any
-// batches already enqueued) and waits for the apply.
-func (s *Sharded) Insert(x uint64) bool {
-	s.checkNotReplica()
-	checkKey(x)
-	if s.opt.Async {
-		return s.enqueueOne(opInsert, x)
-	}
-	c := &s.cells[s.shardOf(x)]
-	c.countOne()
-	c.mu.Lock()
-	ok := c.set.Insert(x)
-	if ok {
-		c.epoch.Add(1)
-	}
-	c.mu.Unlock()
-	return ok
-}
+// Insert adds x, returning false if already present: a one-key
+// InsertBatch, queued behind any batches already enqueued to x's shard.
+func (s *Sharded) Insert(x uint64) bool { return s.InsertBatch([]uint64{x}, true) == 1 }
 
-// Remove deletes x, returning false if absent. Locks one shard; on an
-// async set it routes through the mailbox like Insert.
-func (s *Sharded) Remove(x uint64) bool {
-	s.checkNotReplica()
-	checkKey(x)
-	if s.opt.Async {
-		return s.enqueueOne(opRemove, x)
-	}
-	c := &s.cells[s.shardOf(x)]
-	c.countOne()
-	c.mu.Lock()
-	ok := c.set.Remove(x)
-	if ok {
-		c.epoch.Add(1)
-	}
-	c.mu.Unlock()
-	return ok
-}
+// Remove deletes x, returning false if absent: a one-key RemoveBatch.
+func (s *Sharded) Remove(x uint64) bool { return s.RemoveBatch([]uint64{x}, true) == 1 }
 
-// Has reports whether x is in the set. Read-locks one shard; if a
-// rebalance moved x's span between routing and locking, the lookup
-// re-routes against the new table (the shard it locked would no longer
-// hold x).
+// Has reports whether x is in the set, read off the owning shard's
+// published handle. A lookup that arrives while its shard's writer is
+// mid-drain first waits for that drain's publish (see cell.drain). If a
+// rebalance moved x's span between the router load and the handle load,
+// the handle's span generation disagrees with the router and the lookup
+// retries against the new table.
 func (s *Sharded) Has(x uint64) bool {
 	if x == 0 {
 		return false
@@ -731,105 +646,45 @@ func (s *Sharded) Has(x uint64) bool {
 	for {
 		rt := s.router()
 		p := rt.shardOf(x)
-		if s.opt.FlushReads {
-			s.flushSpan(p, p)
-		}
 		c := &s.cells[p]
-		c.mu.RLock()
-		if s.router() == rt {
-			var ok bool
-			if s.opt.HotKeys {
-				ok = overlayHas(c.set, c.hot.Load(), x)
-			} else {
-				ok = c.set.Has(x)
-			}
-			c.mu.RUnlock()
-			return ok
+		if d := c.drain.Load(); d != nil {
+			<-*d
 		}
-		c.mu.RUnlock()
+		if sp := c.snap.Load(); sp.gen == rt.spanGen[p] {
+			return sp.set.Has(x)
+		}
 	}
 }
 
 // InsertBatch inserts a batch of keys, returning how many were new. The
-// batch is scattered into per-shard sub-batches applied by one writer
-// goroutine per shard. If sorted is true the keys must be in ascending
-// order (scattering preserves order, so sub-batches stay sorted). On an
-// async set the sub-batches go through the mailboxes with a completion
-// ticket, so the call still blocks until applied and the count is exact.
+// batch is scattered into per-shard sub-batches that go through the
+// mailboxes with a completion ticket, so the call blocks until every part
+// is applied and published, and the count is exact. If sorted is true the
+// keys must be in ascending order.
 func (s *Sharded) InsertBatch(keys []uint64, sorted bool) int {
 	s.checkNotReplica()
-	if s.opt.Async {
-		return s.enqueue(opInsert, keys, sorted, true)
-	}
-	checkKeys(keys, sorted)
-	return s.batch(keys, sorted, func(set *cpma.CPMA, sub []uint64) int {
-		return set.InsertBatch(sub, sorted)
-	})
+	return s.enqueue(opInsert, keys, sorted, true)
 }
 
 // RemoveBatch removes a batch of keys, returning how many were present.
 func (s *Sharded) RemoveBatch(keys []uint64, sorted bool) int {
 	s.checkNotReplica()
-	if s.opt.Async {
-		return s.enqueue(opRemove, keys, sorted, true)
-	}
-	checkKeys(keys, sorted)
-	return s.batch(keys, sorted, func(set *cpma.CPMA, sub []uint64) int {
-		return set.RemoveBatch(sub, sorted)
-	})
+	return s.enqueue(opRemove, keys, sorted, true)
 }
 
 // InsertBatchAsync enqueues a batch for insertion and returns without
-// waiting for it to apply; use Flush (or a FlushReads read) to observe it.
-// A full shard mailbox blocks until its writer catches up (backpressure).
-// On a synchronous set it falls back to a plain blocking InsertBatch.
+// waiting for it to apply; use Flush to observe it. A full shard mailbox
+// blocks until its writer catches up (backpressure).
 func (s *Sharded) InsertBatchAsync(keys []uint64, sorted bool) {
-	if !s.opt.Async {
-		s.InsertBatch(keys, sorted)
-		return
-	}
+	s.checkNotReplica()
 	s.enqueue(opInsert, keys, sorted, false)
 }
 
 // RemoveBatchAsync enqueues a batch for removal and returns without
 // waiting; the same contract as InsertBatchAsync.
 func (s *Sharded) RemoveBatchAsync(keys []uint64, sorted bool) {
-	if !s.opt.Async {
-		s.RemoveBatch(keys, sorted)
-		return
-	}
+	s.checkNotReplica()
 	s.enqueue(opRemove, keys, sorted, false)
-}
-
-// enqueueOne mails a single-key ticketed op straight to its owning shard —
-// the point-op path, skipping the scatter machinery entirely — and waits
-// for the apply, reporting whether the key was fresh (insert) or present
-// (remove). The fresh slice keeps the mailbox from aliasing caller memory.
-// Routing happens under life.RLock so a concurrent rebalance (which holds
-// life.Lock for the router swap) cannot strand the key in a shard that no
-// longer owns it.
-func (s *Sharded) enqueueOne(kind opKind, x uint64) bool {
-	tk := newTicket(1)
-	s.life.RLock()
-	if s.closed {
-		s.life.RUnlock()
-		panic("shard: mutation on closed Sharded")
-	}
-	c := &s.cells[s.shardOf(x)]
-	c.enqBatches.Add(1)
-	c.enqKeys.Add(1)
-	op := shardOp{kind: kind, tk: tk, enq: time.Now()}
-	if s.opt.HotKeys && c.hot.Load().lookup(x) != nil {
-		// Promoted key: mail the compact absorbed form. The exact
-		// fresh/removed answer comes off the slot's effective-membership
-		// flip, so the ticket contract is unchanged.
-		op.hot = []hotEntry{{key: x, n: 1}}
-	} else {
-		op.keys = []uint64{x}
-	}
-	c.mbox <- op
-	s.life.RUnlock()
-	return tk.wait() == 1
 }
 
 // enqueue scatters keys into sorted sub-batches and mails each to its
@@ -850,11 +705,7 @@ func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) in
 	} else {
 		checkKeys(keys, sorted)
 	}
-	s.life.RLock()
-	if s.closed {
-		s.life.RUnlock()
-		panic("shard: mutation on closed Sharded")
-	}
+	s.rlockOpen("mutation")
 	rt := s.router()
 	var hotEnts [][]hotEntry
 	if hotCounts != nil {
@@ -917,21 +768,23 @@ func (s *Sharded) enqueue(kind opKind, keys []uint64, sorted bool, wait bool) in
 	return 0
 }
 
-// Flush blocks until every operation enqueued before the call has been
-// applied, establishing a read barrier across all shards — even when it
-// races a concurrent Close, in which case it waits for Close's final
-// drain. On a synchronous set it returns immediately.
-func (s *Sharded) Flush() {
-	s.flushSpan(0, len(s.cells)-1)
+// rlockOpen takes life.RLock for an enqueue, panicking (with the lock
+// released) if the set is closed.
+func (s *Sharded) rlockOpen(op string) {
+	s.life.RLock()
+	if s.closed {
+		s.life.RUnlock()
+		panic("shard: " + op + " on closed Sharded")
+	}
 }
 
-// flushSpan flushes shards [lo, hi] by mailing each a flush token and
-// waiting for all of them; mailbox FIFO order means everything enqueued
-// earlier has applied by the time a token completes.
-func (s *Sharded) flushSpan(lo, hi int) {
-	if !s.opt.Async {
-		return
-	}
+// Flush blocks until every operation enqueued before the call has been
+// applied and published, establishing a read barrier across all shards —
+// even when it races a concurrent Close, in which case it waits for
+// Close's final drain. Each shard gets a flush token; mailbox FIFO order
+// means everything enqueued earlier has applied by the time its token
+// completes.
+func (s *Sharded) Flush() {
 	s.life.RLock()
 	if s.closed {
 		s.life.RUnlock()
@@ -940,8 +793,8 @@ func (s *Sharded) flushSpan(lo, hi int) {
 		s.writers.Wait()
 		return
 	}
-	tk := newTicket(hi - lo + 1)
-	for p := lo; p <= hi; p++ {
+	tk := newTicket(len(s.cells))
+	for p := range s.cells {
 		s.cells[p].mbox <- shardOp{kind: opFlush, tk: tk}
 	}
 	s.life.RUnlock()
@@ -951,15 +804,12 @@ func (s *Sharded) flushSpan(lo, hi int) {
 // Close drains all mailboxes, stops the writer goroutines, and marks the
 // set closed: further mutations panic, Flush becomes a no-op, and reads
 // keep working against the final state. Idempotent; safe against
-// concurrent Flush and reads, but must not race in-flight mutations. A
-// no-op on synchronous sets. On a durable set the Close that wins the
-// race additionally closes the journal after the drain, fsyncing every
-// shard's log (the final durability barrier); journal close errors are
-// sticky — check PersistErr after Close.
+// concurrent Flush and reads, but must not race in-flight mutations. On a
+// durable set the Close that wins the race additionally closes the
+// journal after the drain, fsyncing every shard's log (the final
+// durability barrier); journal close errors are sticky — check PersistErr
+// after Close.
 func (s *Sharded) Close() {
-	if !s.opt.Async {
-		return
-	}
 	s.life.Lock()
 	if s.closed {
 		s.life.Unlock()
@@ -1035,187 +885,60 @@ func (s *Sharded) PersistErr() error {
 	return s.opt.Journal.Err()
 }
 
-func (s *Sharded) batch(keys []uint64, sorted bool, apply func(set *cpma.CPMA, sub []uint64) int) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	// Synchronous sets never rebalance, so one router load covers the whole
-	// scatter-and-apply.
-	subs, _ := s.router().split(keys, sorted)
-	var total atomic.Int64
-	parallel.For(len(subs), 1, func(p int) {
-		sub := subs[p]
-		if len(sub) == 0 {
-			return
-		}
-		c := &s.cells[p]
-		c.enqBatches.Add(1)
-		c.enqKeys.Add(uint64(len(sub)))
-		c.appBatches.Add(1)
-		c.appKeys.Add(uint64(len(sub)))
-		t0 := time.Now()
-		c.mu.Lock()
-		n := apply(c.set, sub)
-		if n > 0 {
-			c.epoch.Add(1)
-		}
-		c.mu.Unlock()
-		// Sync mode has no mailbox: the locked apply is both the drain and
-		// the client-observed batch latency, so it lands in the same
-		// histograms the async writer feeds.
-		s.pm.drain.Since(t0)
-		s.pm.coalesce.Record(uint64(len(sub)))
-		total.Add(int64(n))
-	})
-	return int(total.Load())
-}
+// Len returns the number of keys stored, read off one capture of the
+// published handles.
+func (s *Sharded) Len() int { return s.capture(fullSpan).length() }
 
-// readBarrier flushes every shard when FlushReads is set; the multi-shard
-// read paths call it before touching any shard.
-func (s *Sharded) readBarrier() {
-	if s.opt.FlushReads {
-		s.flushSpan(0, len(s.cells)-1)
-	}
-}
+// SizeBytes returns the summed memory footprint of the published handles.
+func (s *Sharded) SizeBytes() uint64 { return s.capture(fullSpan).sizeBytes() }
 
-// Len returns the number of keys stored, captured as one atomic cut (all
-// shard read locks held at once).
-func (s *Sharded) Len() int {
-	s.readBarrier()
-	total := 0
-	s.withCut(fullSpan, func(v cut) { total = v.length() })
-	return total
-}
+// Sum returns the sum (mod 2^64) of all keys, shards processed in
+// parallel.
+func (s *Sharded) Sum() uint64 { return s.capture(fullSpan).sum() }
 
-// SizeBytes returns the summed memory footprint of the shards.
-func (s *Sharded) SizeBytes() uint64 {
-	s.readBarrier()
-	var total uint64
-	s.withCut(fullSpan, func(v cut) { total = v.sizeBytes() })
-	return total
-}
-
-// Sum returns the sum (mod 2^64) of all keys over one atomic cut, shards
-// processed in parallel.
-func (s *Sharded) Sum() uint64 {
-	s.readBarrier()
-	var total uint64
-	s.withCut(fullSpan, func(v cut) { total = v.sum() })
-	return total
-}
-
-// RangeSum sums keys in [start, end) over one atomic cut of the
-// overlapping shards. Under RangePartition only the span's shards are
-// locked and read; under HashPartition every shard is, in parallel (order
-// is irrelevant for a sum). Degenerate ranges (end <= start) are empty.
+// RangeSum sums keys in [start, end). Under RangePartition only the span's
+// shards are captured and read; under HashPartition every shard is, in
+// parallel. Degenerate ranges (end <= start) are empty.
 func (s *Sharded) RangeSum(start, end uint64) (sum uint64, count int) {
-	if start >= end {
-		return 0, 0
-	}
-	s.withCut(func(rt *router) (int, int) {
-		lo, hi := rt.shardSpan(start, end)
-		if s.opt.FlushReads && hi >= lo {
-			s.flushSpan(lo, hi)
-		}
-		return lo, hi
-	}, func(v cut) { sum, count = v.rangeSum(start, end) })
-	return sum, count
+	return s.capture(rangeSpan(start, end)).rangeSum(start, end)
 }
 
-// Next returns the smallest key >= x across all shards, read off one
-// atomic cut — the merge cannot skip a key that a concurrent writer moved
-// into view mid-read, which per-shard re-querying could.
+// Next returns the smallest key >= x across all shards.
 func (s *Sharded) Next(x uint64) (uint64, bool) {
-	var best uint64
-	var found bool
-	s.withCut(func(rt *router) (int, int) {
-		lo := 0
+	return s.capture(func(rt *router) (int, int) {
 		if rt.part == RangePartition {
-			lo = rt.shardOf(x)
+			return rt.shardOf(x), rt.shards - 1
 		}
-		if s.opt.FlushReads {
-			s.flushSpan(lo, rt.shards-1)
-		}
-		return lo, rt.shards - 1
-	}, func(v cut) { best, found = v.next(x) })
-	return best, found
+		return 0, rt.shards - 1
+	}).next(x)
 }
 
 // Min returns the smallest key in the set.
-func (s *Sharded) Min() (uint64, bool) {
-	return s.Next(1)
-}
+func (s *Sharded) Min() (uint64, bool) { return s.Next(1) }
 
-// Max returns the largest key in the set, read off one atomic cut.
-func (s *Sharded) Max() (uint64, bool) {
-	s.readBarrier()
-	var best uint64
-	var found bool
-	s.withCut(fullSpan, func(v cut) { best, found = v.max() })
-	return best, found
-}
+// Max returns the largest key in the set.
+func (s *Sharded) Max() (uint64, bool) { return s.capture(fullSpan).max() }
 
-// MapRange applies f to keys in [start, end) in ascending order over one
-// atomic cut of the overlapping shards, stopping early when f returns
-// false; reports whether the scan completed. Degenerate ranges (end <=
-// start) complete immediately. Under RangePartition the span's shards
-// stream in key order with all of the span's read locks held and f running
-// under them — f must not call back into this Sharded, or it can deadlock
-// against a waiting writer. Under HashPartition the whole range is
-// gathered from every shard in parallel under the cut and merged (so early
-// exits still pay the full gather), and f runs lock-free.
+// MapRange applies f to keys in [start, end) in ascending order, stopping
+// early when f returns false; reports whether the scan completed.
+// Degenerate ranges (end <= start) complete immediately. The scan runs on
+// one capture of the overlapping shards' published handles, so f holds no
+// lock and may call back into the set. Under HashPartition the range is
+// gathered from every shard in parallel and merged first, so early exits
+// still pay the full gather.
 func (s *Sharded) MapRange(start, end uint64, f func(uint64) bool) bool {
 	if start >= end {
 		return true
 	}
-	if s.opt.Partition == RangePartition {
-		done := true
-		s.withCut(func(rt *router) (int, int) {
-			lo, hi := rt.shardSpan(start, end)
-			if s.opt.FlushReads && hi >= lo {
-				s.flushSpan(lo, hi)
-			}
-			return lo, hi
-		}, func(v cut) { done = v.streamRange(start, end, f) })
-		return done
-	}
-	s.readBarrier()
-	var gathered []uint64
-	s.withCut(fullSpan, func(v cut) { gathered = v.gatherRange(start, end) })
-	for _, x := range gathered {
-		if !f(x) {
-			return false
-		}
-	}
-	return true
+	return s.capture(rangeSpan(start, end)).mapRange(start, end, f)
 }
 
-// Map applies f to every key in ascending order over one atomic cut,
-// stopping early when f returns false; reports whether the scan completed.
-// The same locking contract as MapRange applies: under RangePartition f
-// runs under the shard read locks and must not call back into this
-// Sharded; under HashPartition f runs lock-free after the gather.
-func (s *Sharded) Map(f func(uint64) bool) bool {
-	s.readBarrier()
-	if s.opt.Partition == RangePartition {
-		done := true
-		s.withCut(fullSpan, func(v cut) { done = v.streamAll(f) })
-		return done
-	}
-	var gathered []uint64
-	s.withCut(fullSpan, func(v cut) { gathered = v.gatherAll() })
-	for _, x := range gathered {
-		if !f(x) {
-			return false
-		}
-	}
-	return true
-}
+// Map applies f to every key in ascending order, stopping early when f
+// returns false; reports whether the scan completed. The same contract as
+// MapRange: f may call back into the set.
+func (s *Sharded) Map(f func(uint64) bool) bool { return s.capture(fullSpan).mapAll(f) }
 
-// Keys returns all keys in ascending order; primarily for tests. The
-// gather runs under Map's single read barrier and cut (sizing the result
-// via Len would pay a second capture for a hint that concurrent enqueuers
-// could stale anyway).
+// Keys returns all keys in ascending order; primarily for tests.
 func (s *Sharded) Keys() []uint64 {
 	var out []uint64
 	s.Map(func(v uint64) bool {
@@ -1225,48 +948,10 @@ func (s *Sharded) Keys() []uint64 {
 	return out
 }
 
-// mergeLists merges disjoint sorted runs pairwise (log P rounds of the
-// load-balanced parallel merge).
-func mergeLists(lists [][]uint64) []uint64 {
-	for len(lists) > 1 {
-		next := make([][]uint64, 0, (len(lists)+1)/2)
-		for i := 0; i+1 < len(lists); i += 2 {
-			a, b := lists[i], lists[i+1]
-			switch {
-			case len(a) == 0:
-				next = append(next, b)
-			case len(b) == 0:
-				next = append(next, a)
-			default:
-				out := make([]uint64, len(a)+len(b))
-				parallel.Merge(a, b, out)
-				next = append(next, out)
-			}
-		}
-		if len(lists)%2 == 1 {
-			next = append(next, lists[len(lists)-1])
-		}
-		lists = next
-	}
-	if len(lists) == 0 {
-		return nil
-	}
-	return lists[0]
-}
-
-// Validate checks every shard's CPMA invariants (a test helper). On an
-// async set it flushes first; callers must still quiesce their own
-// writers.
+// Validate flushes, then checks the CPMA invariants of every shard's
+// published handle (a test helper); callers must quiesce their own
+// writers for the check to cover everything they enqueued.
 func (s *Sharded) Validate() error {
 	s.Flush()
-	for p := range s.cells {
-		c := &s.cells[p]
-		c.mu.RLock()
-		err := c.set.Validate()
-		c.mu.RUnlock()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", p, err)
-		}
-	}
-	return nil
+	return (&Snapshot{v: s.capture(fullSpan)}).Validate()
 }

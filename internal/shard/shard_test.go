@@ -16,16 +16,16 @@ func configs() map[string]*Options {
 		"range-4":       {Partition: RangePartition, KeyBits: workload.UniformBits},
 		"range-5":       {Partition: RangePartition, KeyBits: 64},
 		"range-64":      {Partition: RangePartition, KeyBits: 16},
-		"async-hash-1":  {Partition: HashPartition, Async: true, MailboxDepth: 2},
-		"async-hash-4":  {Partition: HashPartition, Async: true, MailboxDepth: 4},
-		"async-range-4": {Partition: RangePartition, KeyBits: workload.UniformBits, Async: true, MailboxDepth: 4, FlushReads: true},
+		"async-hash-1":  {Partition: HashPartition, MailboxDepth: 2},
+		"async-hash-4":  {Partition: HashPartition, MailboxDepth: 4},
+		"async-range-4": {Partition: RangePartition, KeyBits: workload.UniformBits, MailboxDepth: 4},
 		// Extreme partition geometries: more shards than distinct spans
 		// (2-bit keys across 9 shards leave most spans empty), the full
 		// 64-bit space over a non-power-of-two shard count, and the async
 		// pipeline over both.
 		"range-9x2bit":       {Partition: RangePartition, KeyBits: 2},
-		"async-range-9x2bit": {Partition: RangePartition, KeyBits: 2, Async: true, MailboxDepth: 2},
-		"async-range-7x64":   {Partition: RangePartition, KeyBits: 64, Async: true, MailboxDepth: 4},
+		"async-range-9x2bit": {Partition: RangePartition, KeyBits: 2, MailboxDepth: 2},
+		"async-range-7x64":   {Partition: RangePartition, KeyBits: 64, MailboxDepth: 4},
 	}
 }
 
@@ -243,6 +243,7 @@ func TestRoutingIsTotal(t *testing.T) {
 
 func TestZeroShardClamp(t *testing.T) {
 	s := New(0, nil)
+	defer s.Close()
 	if s.Shards() != 1 {
 		t.Fatalf("Shards = %d, want 1", s.Shards())
 	}
@@ -257,7 +258,7 @@ func TestZeroShardClamp(t *testing.T) {
 // may be reused immediately after an async enqueue returns.
 func TestAsyncFlushVisibility(t *testing.T) {
 	for _, part := range []Partition{HashPartition, RangePartition} {
-		s := New(3, &Options{Partition: part, KeyBits: 18, Async: true, MailboxDepth: 4})
+		s := New(3, &Options{Partition: part, KeyBits: 18, MailboxDepth: 4})
 		defer s.Close()
 		ref := cpma.New(nil)
 		r := workload.NewRNG(21)
@@ -291,7 +292,7 @@ func TestAsyncFlushVisibility(t *testing.T) {
 // every enqueued batch, is idempotent, keeps reads working, and makes
 // further mutations panic.
 func TestCloseDrainsAndRejects(t *testing.T) {
-	s := New(3, &Options{Async: true, MailboxDepth: 2})
+	s := New(3, &Options{MailboxDepth: 2})
 	keys := workload.Uniform(workload.NewRNG(5), 20000, 18)
 	ref := cpma.New(nil)
 	ref.InsertBatch(keys, false)
@@ -320,30 +321,26 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// TestIngestStatsCoalesce pins the writers behind their shard locks while
+// TestIngestStatsCoalesce parks the writers on quiesce tokens while
 // sub-batches pile up in the mailboxes, making coalescing deterministic:
-// releasing the locks must drain each mailbox in at most two applies.
+// resuming the writers must drain each mailbox in at most two applies.
 func TestIngestStatsCoalesce(t *testing.T) {
 	const batches, batchLen = 16, 100
-	s := New(2, &Options{Async: true, MailboxDepth: 2 * batches})
+	s := New(2, &Options{MailboxDepth: 2 * batches})
 	defer s.Close()
 	r := workload.NewRNG(9)
-	for p := range s.cells {
-		s.cells[p].mu.Lock()
-	}
+	resume := s.quiesce(0, 1)
 	for i := 0; i < batches; i++ {
 		s.InsertBatchAsync(workload.Uniform(r, batchLen, 20), false)
 	}
-	for p := range s.cells {
-		s.cells[p].mu.Unlock()
-	}
+	resume()
 	s.Flush()
 	st := s.IngestStats()
 	if st.EnqueuedKeys != uint64(batches*batchLen) || st.EnqueuedKeys != st.AppliedKeys {
 		t.Fatalf("key accounting off: %+v", st)
 	}
-	// Per shard: at most one pre-pile apply (the op grabbed before the
-	// lock stalled the writer) plus one coalesced drain of the rest.
+	// Per shard: at most one apply in the drain that ends with the parked
+	// token plus one coalesced drain of the rest.
 	if max := uint64(2 * s.Shards()); st.AppliedBatches > max {
 		t.Fatalf("coalescing failed: %d applies for %d sub-batches (max %d): %+v",
 			st.AppliedBatches, st.EnqueuedBatches, max, st)
@@ -358,30 +355,28 @@ func TestIngestStatsCoalesce(t *testing.T) {
 }
 
 // TestZeroKeyRejected: the reserved key 0 fails fast at the API boundary,
-// in the caller's goroutine, in both modes.
+// in the caller's goroutine.
 func TestZeroKeyRejected(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		s := New(2, &Options{Async: async})
-		defer s.Close()
-		if s.Has(0) {
-			t.Fatal("Has(0) must be false")
+	s := New(2, nil)
+	defer s.Close()
+	if s.Has(0) {
+		t.Fatal("Has(0) must be false")
+	}
+	for name, op := range map[string]func(){
+		"Insert":               func() { s.Insert(0) },
+		"Remove":               func() { s.Remove(0) },
+		"InsertBatch unsorted": func() { s.InsertBatch([]uint64{3, 0, 5}, false) },
+		"InsertBatch sorted":   func() { s.InsertBatch([]uint64{0, 3}, true) },
+		"RemoveBatch unsorted": func() { s.RemoveBatch([]uint64{3, 0}, false) },
+		"InsertBatchAsync":     func() { s.InsertBatchAsync([]uint64{0}, true) },
+		"RemoveBatchAsync":     func() { s.RemoveBatchAsync([]uint64{5, 0}, false) },
+	} {
+		if !panics(op) {
+			t.Fatalf("%s accepted key 0", name)
 		}
-		for name, op := range map[string]func(){
-			"Insert":               func() { s.Insert(0) },
-			"Remove":               func() { s.Remove(0) },
-			"InsertBatch unsorted": func() { s.InsertBatch([]uint64{3, 0, 5}, false) },
-			"InsertBatch sorted":   func() { s.InsertBatch([]uint64{0, 3}, true) },
-			"RemoveBatch unsorted": func() { s.RemoveBatch([]uint64{3, 0}, false) },
-			"InsertBatchAsync":     func() { s.InsertBatchAsync([]uint64{0}, true) },
-			"RemoveBatchAsync":     func() { s.RemoveBatchAsync([]uint64{5, 0}, false) },
-		} {
-			if !panics(op) {
-				t.Fatalf("async=%v: %s accepted key 0", async, name)
-			}
-		}
-		if s.Len() != 0 {
-			t.Fatalf("async=%v: rejected ops mutated the set", async)
-		}
+	}
+	if s.Len() != 0 {
+		t.Fatal("rejected ops mutated the set")
 	}
 }
 
@@ -411,14 +406,14 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 		name string
 		opt  *Options
 	}{
-		{"hash", &Options{Partition: HashPartition, Set: smallSet, Async: true, MailboxDepth: 4}},
-		{"range", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, Async: true, MailboxDepth: 4}},
+		{"hash", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4}},
+		{"range", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4}},
 		// Hot-key absorption must not change the cut contract: absorbed
 		// occurrences reconcile before every publish, so each capture is
 		// still an exact FIFO prefix even mid-absorption.
-		{"hash-hotkey", &Options{Partition: HashPartition, Set: smallSet, Async: true, MailboxDepth: 4,
+		{"hash-hotkey", &Options{Partition: HashPartition, Set: smallSet, MailboxDepth: 4,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.1, HotKeyMax: 8}},
-		{"range-hotkey", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, Async: true, MailboxDepth: 4,
+		{"range-hotkey", &Options{Partition: RangePartition, KeyBits: 16, Set: smallSet, MailboxDepth: 4,
 			HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.1, HotKeyMax: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -499,12 +494,12 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 				}
 				sn := s.Snapshot()
 				for p := 0; p < P; p++ {
-					if sn.epochs[p] < lastEpochs[p] {
+					if e := sn.v.snaps[p].epoch; e < lastEpochs[p] {
 						t.Fatalf("capture %d shard %d: epoch went backwards (%d < %d)",
-							captures, p, sn.epochs[p], lastEpochs[p])
+							captures, p, e, lastEpochs[p])
 					}
-					lastEpochs[p] = sn.epochs[p]
-					got := sn.v.sets[p].Keys()
+					lastEpochs[p] = sn.v.snaps[p].epoch
+					got := sn.v.at(p).Keys()
 					j := cur[p]
 					for j <= rounds && !slices.Equal(got, states[p][j]) {
 						j++
@@ -535,7 +530,7 @@ func TestSnapshotPrefixCutDifferential(t *testing.T) {
 			// After the final Flush, a fresh snapshot sits at the full history.
 			sn := s.Snapshot()
 			for p := 0; p < P; p++ {
-				if !slices.Equal(sn.v.sets[p].Keys(), states[p][rounds]) {
+				if !slices.Equal(sn.v.at(p).Keys(), states[p][rounds]) {
 					t.Fatalf("post-flush snapshot shard %d does not hold the full history", p)
 				}
 			}
@@ -627,52 +622,10 @@ func TestSnapshotReadAPI(t *testing.T) {
 	}
 }
 
-// TestSnapshotSyncCaptureCaching: in sync mode an unchanged shard's handle
-// is reused across captures (no re-clone), and a point write re-clones
-// exactly the one shard it touched.
-func TestSnapshotSyncCaptureCaching(t *testing.T) {
-	s := New(4, &Options{Partition: HashPartition})
-	s.InsertBatch(workload.Uniform(workload.NewRNG(3), 10000, 20), false)
-	sn1 := s.Snapshot()
-	st1 := s.SnapshotStats()
-	sn2 := s.Snapshot()
-	st2 := s.SnapshotStats()
-	if st2.Publishes != st1.Publishes {
-		t.Fatalf("unchanged set re-published: %d -> %d", st1.Publishes, st2.Publishes)
-	}
-	if st2.Captures != st1.Captures+1 {
-		t.Fatalf("capture counter off: %+v", st2)
-	}
-	for p := range sn1.v.sets {
-		if sn1.v.sets[p] != sn2.v.sets[p] {
-			t.Fatalf("shard %d handle not shared across unchanged captures", p)
-		}
-	}
-	const k = 123456789
-	s.Insert(k)
-	sn3 := s.Snapshot()
-	st3 := s.SnapshotStats()
-	if !sn3.Has(k) {
-		t.Fatal("fresh capture missed the new key")
-	}
-	if sn2.Has(k) {
-		t.Fatal("old capture sees the new key")
-	}
-	if st3.Publishes != st2.Publishes+1 {
-		t.Fatalf("want exactly one re-clone for a one-shard write, got %d", st3.Publishes-st2.Publishes)
-	}
-	if st3.Epochs != st2.Epochs+1 {
-		t.Fatalf("epoch accounting off: %+v", st3)
-	}
-	if st3.CloneBytes <= st2.CloneBytes {
-		t.Fatal("clone bytes did not grow")
-	}
-}
-
 // TestSnapshotReadYourFlushes: a Snapshot captured after Flush returns
-// covers everything enqueued before the Flush, without FlushReads.
+// covers everything enqueued before the Flush.
 func TestSnapshotReadYourFlushes(t *testing.T) {
-	s := New(3, &Options{Async: true, MailboxDepth: 4})
+	s := New(3, &Options{MailboxDepth: 4})
 	t.Cleanup(s.Close)
 	ref := cpma.New(nil)
 	r := workload.NewRNG(29)
@@ -692,5 +645,45 @@ func TestSnapshotReadYourFlushes(t *testing.T) {
 	st := s.SnapshotStats()
 	if st.Publishes == 0 || st.Publishes > st.Epochs+uint64(s.Shards()) {
 		t.Fatalf("publication accounting off: %+v", st)
+	}
+}
+
+// TestBlockingOpsReadYourWrites: a returned Insert, Remove, InsertBatch or
+// RemoveBatch is visible at once to live Has and to a fresh Snapshot —
+// tickets complete only after the drain that applied them has published.
+// Many short rounds, so a completion that raced ahead of its publish would
+// be caught in the window between the two.
+func TestBlockingOpsReadYourWrites(t *testing.T) {
+	for _, opt := range []*Options{
+		{Partition: HashPartition},
+		{Partition: RangePartition, KeyBits: 20, HotKeys: true, HotKeyEvery: 64, HotKeyFrac: 0.05},
+	} {
+		s := New(4, opt)
+		r := workload.NewRNG(23)
+		seen := func(round int, op string, keys []uint64, want bool) {
+			t.Helper()
+			sn := s.Snapshot()
+			for _, k := range keys {
+				if s.Has(k) != want || sn.Has(k) != want {
+					t.Fatalf("round %d: after %s, Has(%d) = %v, Snapshot().Has = %v, want %v",
+						round, op, k, s.Has(k), sn.Has(k), want)
+				}
+			}
+		}
+		for round := 0; round < 1500; round++ {
+			k := 1 + r.Uint64()%(1<<20)
+			if s.Insert(k) {
+				seen(round, "Insert", []uint64{k}, true)
+			}
+			if s.Remove(k) {
+				seen(round, "Remove", []uint64{k}, false)
+			}
+			batch := workload.Uniform(r, 1+r.Intn(64), 20)
+			s.InsertBatch(batch, false)
+			seen(round, "InsertBatch", batch, true)
+			s.RemoveBatch(batch, false)
+			seen(round, "RemoveBatch", batch, false)
+		}
+		s.Close()
 	}
 }

@@ -10,13 +10,22 @@ package workload
 // earlier delete already removed — harmless under set semantics, and the
 // differential model replays the same sequence.
 //
+// The stream is symmetric, the way the paper's graphs are (Symmetrize):
+// every insert and every delete batch carries both directions of each
+// undirected edge it names, so the graph the stream builds is symmetric
+// after every batch. The graph kernels require that — dense EdgeMap pulls
+// out-neighbors as in-neighbors, and label-propagation CC on an
+// asymmetric graph depends on the thread schedule. Self-loops are
+// redrawn, as Symmetrize drops them.
+//
 // Every batch is a function of the seed alone — two streams with the same
 // parameters emit identical batch sequences — which is what lets the
 // differential harness replay one stream into both F-Graph flavors and a
-// model and demand byte-identical results. The stream never emits the edge
-// (0,0): it packs to the reserved key 0 that the sharded graph cannot
-// store (fgraph.ErrEdgeZeroZero), so it is redrawn at generation — one
-// rule for every consumer instead of a filter in each.
+// model and demand byte-identical results. Because self-loops are
+// redrawn, the stream never emits the edge (0,0), which packs to the
+// reserved key 0 that the sharded graph cannot store
+// (fgraph.ErrEdgeZeroZero) — one rule for every consumer instead of a
+// filter in each.
 type EdgeStream struct {
 	r     *RNG
 	scale int
@@ -25,8 +34,8 @@ type EdgeStream struct {
 	// the reservoir has something to delete).
 	deleteFrac float64
 
-	reservoir []Edge
-	seen      uint64 // inserts observed by the reservoir so far
+	reservoir []Edge // undirected edges, one direction each
+	seen      uint64 // undirected inserts observed by the reservoir so far
 }
 
 // reservoirCap bounds the delete-candidate memory regardless of stream
@@ -55,32 +64,38 @@ func NewEdgeStream(seed uint64, scale int, deleteFrac float64) *EdgeStream {
 // NumVertices returns the vertex-id space the stream draws from.
 func (s *EdgeStream) NumVertices() int { return 1 << s.scale }
 
-// Next returns the stream's next batch: n new directed edges to insert and
-// about n*deleteFrac previously inserted edges to delete (fewer while the
-// reservoir is warming up, nil when deletes are disabled). The caller
-// applies deletes after inserts, or in any order — the differential model
-// just has to match. Slices are freshly allocated each call.
+// Next returns the stream's next batch: n new directed edges to insert (n
+// rounded up to even: both directions of n/2 undirected R-MAT edges) and
+// both directions of about n*deleteFrac/2 previously inserted undirected
+// edges to delete (fewer while the reservoir is warming up, nil when
+// deletes are disabled). Each undirected edge occupies two adjacent
+// entries, forward then reverse. The caller applies deletes after
+// inserts, or in any order — the differential model just has to match.
+// Slices are freshly allocated each call.
 func (s *EdgeStream) Next(n int) (inserts, deletes []Edge) {
-	inserts = make([]Edge, n)
-	for i := range inserts {
+	pairs := (n + 1) / 2
+	inserts = make([]Edge, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
 		e := rmatOne(s.r, s.scale, s.p)
-		for e.Src == 0 && e.Dst == 0 {
+		for e.Src == e.Dst {
 			e = rmatOne(s.r, s.scale, s.p)
 		}
-		inserts[i] = e
+		inserts = append(inserts, e, Edge{Src: e.Dst, Dst: e.Src})
 	}
-	nd := int(float64(n) * s.deleteFrac)
+	nd := int(float64(n)*s.deleteFrac) / 2
 	if nd > len(s.reservoir) {
 		nd = len(s.reservoir)
 	}
 	for i := 0; i < nd; i++ {
 		j := s.r.Intn(len(s.reservoir))
-		deletes = append(deletes, s.reservoir[j])
+		e := s.reservoir[j]
+		deletes = append(deletes, e, Edge{Src: e.Dst, Dst: e.Src})
 		last := len(s.reservoir) - 1
 		s.reservoir[j] = s.reservoir[last]
 		s.reservoir = s.reservoir[:last]
 	}
-	for _, e := range inserts {
+	for i := 0; i < len(inserts); i += 2 {
+		e := inserts[i]
 		s.seen++
 		if len(s.reservoir) < reservoirCap {
 			s.reservoir = append(s.reservoir, e)

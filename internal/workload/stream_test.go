@@ -63,3 +63,36 @@ func TestEdgeStreamNoDeletes(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeStreamBatchesSymmetric: every insert and every delete batch
+// carries both directions of each edge it names, and never a self-loop
+// (so never the unstorable edge (0,0)) — the graph the stream builds is
+// symmetric after every batch, whatever order the batches apply in.
+func TestEdgeStreamBatchesSymmetric(t *testing.T) {
+	s := NewEdgeStream(5, 8, 0.3)
+	sawDelete := false
+	for round := 0; round < 40; round++ {
+		ins, del := s.Next(301)
+		if len(ins) != 302 {
+			t.Fatalf("round %d: %d inserts, want 302 (n rounded up to even)", round, len(ins))
+		}
+		for name, batch := range map[string][]Edge{"insert": ins, "delete": del} {
+			count := map[Edge]int{}
+			for _, e := range batch {
+				if e.Src == e.Dst {
+					t.Fatalf("round %d: %s batch holds self-loop %v", round, name, e)
+				}
+				count[e]++
+			}
+			for e, n := range count {
+				if r := (Edge{Src: e.Dst, Dst: e.Src}); count[r] != n {
+					t.Fatalf("round %d: %s batch holds %v %d times but %v %d times", round, name, e, n, r, count[r])
+				}
+			}
+		}
+		sawDelete = sawDelete || len(del) > 0
+	}
+	if !sawDelete {
+		t.Fatal("stream with deleteFrac 0.3 emitted no deletes")
+	}
+}

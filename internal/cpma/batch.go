@@ -2,16 +2,29 @@ package cpma
 
 import (
 	"sort"
-	"sync/atomic"
 
-	"repro/internal/codec"
 	"repro/internal/parallel"
 )
 
 // The batch-update algorithm below is identical to the uncompressed PMA's
 // (paper §5: "the batch-update algorithm in the CPMA is identical to the
 // batch-update algorithm for PMAs described in Section 4") — only the
-// per-leaf merge and the redistribution work on byte codes.
+// per-leaf merge and the redistribution work on byte codes. Its three
+// phases (Figure 4):
+//
+//  1. Merge. A parallel recursion splits the sorted batch at leaf heads and
+//     hands each leaf its run, which the splice kernels of leaf.go edit in
+//     one pass over the leaf's byte codes. A merge that outgrows its leaf
+//     keeps its encoded bytes in c.overflow, and the leaf's used size
+//     records the overflowed size; the slab itself is left as it was.
+//  2. Count. pmatree.Count walks up from the touched leaves, summing used
+//     bytes, and plans the regions whose byte density is out of bounds.
+//  3. Redistribute. Each planned region is decoded (overflowed leaves from
+//     their overflow, with the same DecodeRun) and re-encoded evenly across
+//     its leaves, which clears the overflow.
+//
+// A leaf the batch does not change — every key to insert already present,
+// or every key to delete absent — is neither written nor counted.
 
 const mergeForkGrain = 2048
 
@@ -58,14 +71,13 @@ func (c *CPMA) RemoveBatch(keys []uint64, sorted bool) int {
 		return removed
 	}
 	dirty := parallel.NewBitset(c.leaves)
-	var removed atomic.Int64
-	c.removeRange(batch, 0, c.leaves-1, dirty, &removed)
-	c.n -= int(removed.Load())
+	removed := c.removeRange(batch, 0, c.leaves-1, dirty)
+	c.n -= removed
 	if c.Capacity() > minCapacity {
 		plan := c.tree.Count(c.usedOf, dirty.Indices(), false, true)
 		c.applyPlan(plan)
 	}
-	return int(removed.Load())
+	return removed
 }
 
 func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
@@ -86,31 +98,33 @@ func (c *CPMA) prepareBatch(keys []uint64, sorted bool) []uint64 {
 
 func (c *CPMA) batchMerge(batch []uint64) int {
 	if c.overflow == nil {
-		c.overflow = make([][]uint64, c.leaves)
+		c.overflow = make([][]byte, c.leaves)
 	}
 	dirty := parallel.NewBitset(c.leaves)
-	var added atomic.Int64
-
-	c.mergeRange(batch, 0, c.leaves-1, dirty, &added)
-	c.n += int(added.Load())
+	added := c.mergeRange(batch, 0, c.leaves-1, dirty, &c.scratch)
+	c.n += added
 
 	plan := c.tree.Count(c.usedOf, dirty.Indices(), true, false)
 	c.applyPlan(plan)
-	return int(added.Load())
+	return added
 }
 
 func (c *CPMA) rebuildMerge(batch []uint64) int {
 	all := c.gatherElems(0, c.leaves)
 	merged, fresh := parallel.MergeDedup(all, batch)
-	c.rebuildFrom(merged)
+	if fresh > 0 {
+		c.rebuildFrom(merged)
+	}
 	return fresh
 }
 
 // mergeRange mirrors pma.mergeRange; see that implementation for the
-// leaf-range ownership argument that makes the recursion lock-free.
-func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, added *atomic.Int64) {
+// leaf-range ownership argument that makes the recursion lock-free. It
+// returns how many keys of batch were new. s is the calling goroutine's
+// scratch; each forked goroutine starts its own.
+func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, s *scratch) int {
 	if len(batch) == 0 {
-		return
+		return 0
 	}
 	if loLeaf > hiLeaf {
 		panic("cpma: batch elements with no target leaf range")
@@ -121,8 +135,7 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 	if leaf == -1 {
 		first := c.firstNonEmptyIn(loLeaf, hiLeaf)
 		if first == -1 {
-			c.mergeLeaf((loLeaf+hiLeaf)/2, batch, dirty, added)
-			return
+			return c.mergeLeaf((loLeaf+hiLeaf)/2, batch, dirty, s)
 		}
 		leaf = first
 		lo = 0
@@ -139,55 +152,54 @@ func (c *CPMA) mergeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bi
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
-		c.mergeLeaf(leaf, sub, dirty, added)
-		c.mergeRange(left, loLeaf, leaf-1, dirty, added)
-		c.mergeRange(right, leaf+1, hiLeaf, dirty, added)
-		return
+		return c.mergeLeaf(leaf, sub, dirty, s) +
+			c.mergeRange(left, loLeaf, leaf-1, dirty, s) +
+			c.mergeRange(right, leaf+1, hiLeaf, dirty, s)
 	}
+	var a, b, d int
 	parallel.Do3(
-		func() { c.mergeLeaf(leaf, sub, dirty, added) },
-		func() { c.mergeRange(left, loLeaf, leaf-1, dirty, added) },
-		func() { c.mergeRange(right, leaf+1, hiLeaf, dirty, added) },
+		func() { a = c.mergeLeaf(leaf, sub, dirty, s) },
+		func() { b = c.mergeRange(left, loLeaf, leaf-1, dirty, new(scratch)) },
+		func() { d = c.mergeRange(right, leaf+1, hiLeaf, dirty, new(scratch)) },
 	)
+	return a + b + d
 }
 
-// mergeLeaf merges a sorted batch run into a compressed leaf: decode, merge,
-// re-encode if the bytes fit, otherwise keep the merged run out-of-place
-// with its encoded size recorded for the counting phase (Figure 4).
-func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, added *atomic.Int64) {
+// mergeLeaf merges a sorted batch run into a leaf with the splice kernel
+// and returns how many keys were new. A merge that fits is copied back
+// into the slab; one that does not stays encoded in the leaf's overflow,
+// its size recorded for the counting phase (Figure 4), which then
+// redistributes the region. A merge that adds nothing writes nothing.
+// dirty (the batch's touched-leaf set) is nil for point inserts, which
+// always fit (Insert keeps MaxGrowth bytes of slack).
+func (c *CPMA) mergeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, s *scratch) int {
 	if len(sub) == 0 {
-		return
+		return 0
 	}
-	dirty.Set(leaf)
-	ec := c.ecntOf(leaf)
-	var merged []uint64
-	fresh := 0
-	if ec == 0 {
-		merged, fresh = sub, len(sub)
+	u := c.usedOf(leaf)
+	dst := s.get(mergeBound(u, sub))
+	w, fresh := mergeRun(dst, c.leafData(leaf), u, sub)
+	if fresh == 0 {
+		return 0
+	}
+	if w <= c.LeafBytes() {
+		// Bytes past the old used size are already zero, and w only grew.
+		copy(c.leafDataW(leaf), dst[:w])
 	} else {
-		cur := codec.DecodeRun(make([]uint64, 0, ec), c.leafData(leaf), c.usedOf(leaf))
-		merged, fresh = parallel.MergeDedup(cur, sub)
+		// Overflow: the slab is untouched, so only the metadata changes —
+		// no unshare needed.
+		c.overflow[leaf] = append([]byte(nil), dst[:w]...)
 	}
-	size := codec.SizeOfRun(merged)
-	if size <= c.LeafBytes() {
-		ld := c.leafDataW(leaf)
-		w := codec.EncodeRun(ld, merged)
-		clearBytes(ld[w:])
-	} else {
-		// Overflow: the slab is untouched (the counting phase redistributes
-		// it later), so only the metadata changes — no unshare needed.
-		if ec == 0 {
-			merged = append([]uint64(nil), sub...)
-		}
-		c.overflow[leaf] = merged
+	c.setLeafMeta(leaf, int32(w), int32(c.ecntOf(leaf)+fresh))
+	if dirty != nil {
+		dirty.Set(leaf)
 	}
-	c.setLeafMeta(leaf, int32(size), int32(len(merged)))
-	added.Add(int64(fresh))
+	return fresh
 }
 
-func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset, removed *atomic.Int64) {
+func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.Bitset) int {
 	if len(batch) == 0 || loLeaf > hiLeaf {
-		return
+		return 0
 	}
 	mid := batch[len(batch)/2]
 	leaf := c.leafForIn(mid, loLeaf, hiLeaf)
@@ -195,7 +207,7 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.B
 	if leaf == -1 {
 		first := c.firstNonEmptyIn(loLeaf, hiLeaf)
 		if first == -1 {
-			return
+			return 0
 		}
 		leaf = first
 		lo = 0
@@ -210,52 +222,31 @@ func (c *CPMA) removeRange(batch []uint64, loLeaf, hiLeaf int, dirty *parallel.B
 
 	sub, left, right := batch[lo:hi], batch[:lo], batch[hi:]
 	if len(batch) <= mergeForkGrain {
-		c.removeLeaf(leaf, sub, dirty, removed)
-		c.removeRange(left, loLeaf, leaf-1, dirty, removed)
-		c.removeRange(right, leaf+1, hiLeaf, dirty, removed)
-		return
+		return c.removeLeaf(leaf, sub, dirty) +
+			c.removeRange(left, loLeaf, leaf-1, dirty) +
+			c.removeRange(right, leaf+1, hiLeaf, dirty)
 	}
+	var a, b, d int
 	parallel.Do3(
-		func() { c.removeLeaf(leaf, sub, dirty, removed) },
-		func() { c.removeRange(left, loLeaf, leaf-1, dirty, removed) },
-		func() { c.removeRange(right, leaf+1, hiLeaf, dirty, removed) },
+		func() { a = c.removeLeaf(leaf, sub, dirty) },
+		func() { b = c.removeRange(left, loLeaf, leaf-1, dirty) },
+		func() { d = c.removeRange(right, leaf+1, hiLeaf, dirty) },
 	)
+	return a + b + d
 }
 
-// removeLeaf deletes keys of sub present in the leaf with a two-finger
-// difference over the decoded run. Deletion never grows the encoding, so
-// the result always re-encodes in place.
-func (c *CPMA) removeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset, removed *atomic.Int64) {
-	if len(sub) == 0 || c.usedOf(leaf) == 0 {
-		return
-	}
-	cur := codec.DecodeRun(make([]uint64, 0, c.ecntOf(leaf)), c.leafData(leaf), c.usedOf(leaf))
-	w := 0
-	j := 0
-	dropped := 0
-	for _, v := range cur {
-		for j < len(sub) && sub[j] < v {
-			j++
-		}
-		if j < len(sub) && sub[j] == v {
-			dropped++
-			continue
-		}
-		cur[w] = v
-		w++
-	}
+// removeLeaf deletes the keys of sub present in the leaf with the in-place
+// splice kernel and returns how many it deleted. The slab is unshared only
+// once a key is actually found; a removal that deletes nothing writes
+// nothing. dirty may be nil for point removes.
+func (c *CPMA) removeLeaf(leaf int, sub []uint64, dirty *parallel.Bitset) int {
+	w, dropped := removeRun(c.leafData(leaf), c.usedOf(leaf), sub, func() []byte { return c.leafDataW(leaf) })
 	if dropped == 0 {
-		return
+		return 0
 	}
-	dirty.Set(leaf)
-	removed.Add(int64(dropped))
-	ld := c.leafDataW(leaf)
-	if w == 0 {
-		clearBytes(ld[:c.usedOf(leaf)])
-		c.setLeafMeta(leaf, 0, 0)
-		return
+	c.setLeafMeta(leaf, int32(w), int32(c.ecntOf(leaf)-dropped))
+	if dirty != nil {
+		dirty.Set(leaf)
 	}
-	size := codec.EncodeRun(ld, cur[:w])
-	clearBytes(ld[size:c.usedOf(leaf)])
-	c.setLeafMeta(leaf, int32(size), int32(w))
+	return dropped
 }

@@ -64,7 +64,7 @@ import (
 type leafState struct {
 	data  []byte
 	used  int32 // encoded bytes (0 = empty leaf); transiently > cap during overflow
-	ecnt  int32 // elements in the leaf (or its overflow buffer)
+	ecnt  int32 // elements in the leaf (or its encoded overflow)
 	owned bool
 }
 
@@ -166,9 +166,9 @@ func (c *CPMA) unshareChunk(ch int) {
 }
 
 // leafDataW returns the leaf's byte slab for writing, unsharing it first if
-// a clone may still reference the current array. Callers that bail out
-// without writing leave an unshared-but-unchanged leaf behind, which is
-// correctness-neutral (unshared ≠ dirty; the contents are identical).
+// a clone may still reference the current array. The splice kernels call
+// it only once they know the leaf changes, so a no-op edit never pays the
+// copy.
 func (c *CPMA) leafDataW(leaf int) []byte {
 	st := c.leafStW(leaf)
 	if !st.owned {

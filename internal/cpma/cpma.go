@@ -76,7 +76,8 @@ type CPMA struct {
 	lf         []atomic.Pointer[leafChunk] // chunked per-leaf slab + metadata spine (see cow.go)
 	ownChunk   *parallel.Bitset            // spine chunks private to this CPMA
 	claimChunk *parallel.Bitset            // unshare claim tickets (see unshareChunk)
-	overflow   [][]uint64
+	overflow   [][]byte                    // mid-batch encoded merges that outgrew their leaf
+	scratch    scratch                     // merge output buffer of the writer goroutine
 	tree       *pmatree.Tree
 	leafLog2   uint
 	leaves     int
@@ -133,17 +134,11 @@ func (c *CPMA) Clone() *CPMA {
 	nch := len(c.lf)
 	c.ownChunk, c.claimChunk = parallel.NewBitset(nch), parallel.NewBitset(nch)
 	d.ownChunk, d.claimChunk = parallel.NewBitset(nch), parallel.NewBitset(nch)
-	if c.overflow != nil {
-		// At rest overflow entries are nil (CheckInvariants enforces it), so
-		// this copies only the spine; entries are cloned defensively in case
-		// a caller clones mid-batch.
-		d.overflow = make([][]uint64, len(c.overflow))
-		for i, ov := range c.overflow {
-			if ov != nil {
-				d.overflow[i] = append([]uint64(nil), ov...)
-			}
-		}
-	}
+	// At rest every overflow entry is nil (CheckInvariants enforces it): the
+	// clone allocates its own spine on its first batch merge. Each side
+	// also owns its merge scratch.
+	d.overflow = nil
+	d.scratch = scratch{}
 	// Window handoff: the clone carries what changed since the parent's
 	// previous Clone; the parent starts accumulating a fresh window.
 	d.pubAll, d.pubDirty = c.dirtyAll, c.dirty
@@ -412,8 +407,9 @@ func forLeaves(n int, f func(i int)) {
 	parallel.For(n, 32, f)
 }
 
-// gatherElems decodes leaves [loLeaf, hiLeaf) — draining overflow buffers —
-// into a sorted slice, in parallel via element-count prefix sums.
+// gatherElems decodes leaves [loLeaf, hiLeaf) into a sorted slice, in
+// parallel via element-count prefix sums. An overflowed leaf is decoded
+// from its encoded overflow instead of its slab.
 func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 	nl := hiLeaf - loLeaf
 	offsets := make([]int, nl+1)
@@ -424,13 +420,13 @@ func (c *CPMA) gatherElems(loLeaf, hiLeaf int) []uint64 {
 	forLeaves(nl, func(i int) {
 		leaf := loLeaf + i
 		lo, hi := offsets[i], offsets[i+1]
+		src := c.leafData(leaf)
 		if c.overflow != nil && c.overflow[leaf] != nil {
-			copy(buf[lo:hi], c.overflow[leaf])
-			return
+			src = c.overflow[leaf]
 		}
 		// Append in place: capacity is exactly the leaf's element count, so
 		// DecodeRun fills buf[lo:hi] without reallocating.
-		codec.DecodeRun(buf[lo:lo:hi], c.leafData(leaf), c.usedOf(leaf))
+		codec.DecodeRun(buf[lo:lo:hi], src, c.usedOf(leaf))
 	})
 	return buf
 }

@@ -119,7 +119,7 @@ func (c *CPMA) Max() (uint64, bool) {
 
 // Insert adds x, returning false if already present. Point updates follow
 // the PMA's four steps with the place step done as a single pass over the
-// compressed leaf (§5, Figure 6).
+// compressed leaf (§5, Figure 6): a one-key call of the batch merge kernel.
 func (c *CPMA) Insert(x uint64) bool {
 	if x == 0 {
 		panic("cpma: key 0 is reserved")
@@ -135,7 +135,7 @@ func (c *CPMA) Insert(x uint64) bool {
 			c.rebalanceLeaf(leaf, true, false)
 			continue
 		}
-		if !c.leafInsert(leaf, x) {
+		if c.mergeLeaf(leaf, []uint64{x}, nil, &c.scratch) == 0 {
 			return false
 		}
 		c.n++
@@ -146,13 +146,14 @@ func (c *CPMA) Insert(x uint64) bool {
 	}
 }
 
-// Remove deletes x, returning false if absent.
+// Remove deletes x, returning false if absent: a one-key call of the batch
+// remove kernel.
 func (c *CPMA) Remove(x uint64) bool {
 	if x == 0 || c.n == 0 {
 		return false
 	}
 	leaf := c.findLeaf(x)
-	if !c.leafRemove(leaf, x) {
+	if c.removeLeaf(leaf, []uint64{x}, nil) == 0 {
 		return false
 	}
 	c.n--

@@ -86,9 +86,10 @@ func (c *CPMA) LeafMap(leaf int, f func(uint64) bool) bool {
 // LeafLen returns the number of keys stored in one leaf.
 func (c *CPMA) LeafLen(leaf int) int { return c.ecntOf(leaf) }
 
-// Sum returns the sum (mod 2^64) of all keys with leaf-level parallelism.
+// Sum returns the sum (mod 2^64) of all keys with leaf-level parallelism,
+// a few tasks per processor (the default grain).
 func (c *CPMA) Sum() uint64 {
-	return parallel.ReduceSum(c.leaves, 4, c.leafSum)
+	return parallel.ReduceSum(c.leaves, 0, c.leafSum)
 }
 
 // RangeSum sums keys in [start, end).

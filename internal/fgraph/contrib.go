@@ -81,7 +81,7 @@ type contribIndex struct {
 func buildContribIndex(ls leafSpan) *contribIndex {
 	lastSrc := make([]uint32, ls.n)
 	nonEmpty := make([]bool, ls.n)
-	parallel.For(ls.n, 4, func(leaf int) {
+	parallel.For(ls.n, 0, func(leaf int) {
 		var last uint64
 		found := false
 		ls.leafMap(leaf, func(k uint64) bool {
@@ -110,7 +110,9 @@ func buildContribIndex(ls leafSpan) *contribIndex {
 // edges in ascending key order, written exactly once. Entries for vertices
 // without edges are not touched.
 func accumulateContrib(ls leafSpan, ci *contribIndex, w, acc []float64) {
-	parallel.For(ls.n, 4, func(leaf int) {
+	// Run ownership makes the result independent of how the leaves are cut
+	// into tasks, so the default grain (a few tasks per processor) serves.
+	parallel.For(ls.n, 0, func(leaf int) {
 		var curSrc uint32
 		sum := 0.0
 		active := false   // current run is owned by this task
@@ -176,7 +178,7 @@ func buildIndex(ls leafSpan, nv int) (deg []int32, cursors []uint64) {
 	for i := range cursors {
 		cursors[i] = noCursor
 	}
-	parallel.For(ls.n, 4, func(leaf int) {
+	parallel.For(ls.n, 0, func(leaf int) {
 		idx := 0
 		runSrc := uint32(0)
 		runCount := int32(0)
